@@ -1,13 +1,13 @@
 //! Forward (OAAS → PAV) fixed-point analysis performance, plus the
 //! backward-query sweep.
 //!
-//! Compares the naive full-rescan reference, the incremental frontier
-//! engine (the default behind [`forward`]), the naive backward BFS
-//! against the best-first [`BackwardEngine`], and a [`BatchAnalyzer`]
-//! breach sweep, then writes the medians and derived analyses/sec to
+//! Compares the naive full-rescan reference against the prepared
+//! substrate (compilation included), the naive backward BFS against the
+//! best-first [`BackwardEngine`], and a [`BatchAnalyzer`] breach sweep,
+//! then writes the medians and derived analyses/sec to
 //! `BENCH_forward.json` at the repository root.
 
-use actfort_core::engine::BatchAnalyzer;
+use actfort_core::batch::BatchAnalyzer;
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
 use actfort_core::{metrics, BackwardEngine, ForwardResult, Tdg};
@@ -76,17 +76,6 @@ fn bench_engines(c: &mut Criterion) {
         let specs = population(n);
         g.bench_with_input(BenchmarkId::new("naive", n), &specs, |b, specs| {
             b.iter(|| black_box(forward_naive(specs, Platform::Web, &ap, &[])))
-        });
-        g.bench_with_input(BenchmarkId::new("incremental", n), &specs, |b, specs| {
-            b.iter(|| {
-                black_box(forward_with_engine(
-                    specs,
-                    Platform::Web,
-                    &ap,
-                    &[],
-                    Engine::Incremental,
-                ))
-            })
         });
         // The prepared substrate pays compilation *and* the run each
         // iteration — the cold single-query cost, the worst case for it.
@@ -305,21 +294,16 @@ fn emit_json(measurements: &[Measurement]) {
     let mut populations = String::new();
     for (i, n) in POPULATIONS.iter().enumerate() {
         let naive = median_ns(measurements, &format!("forward/naive/{n}"));
-        let incremental = median_ns(measurements, &format!("forward/incremental/{n}"));
         let prepared = median_ns(measurements, &format!("forward/prepared/{n}"));
         if i > 0 {
             populations.push_str(",\n");
         }
         populations.push_str(&format!(
-            "    {{\"services\": {n}, \"naive_ns\": {naive}, \"incremental_ns\": {incremental}, \
-             \"prepared_ns\": {prepared}, \
-             \"naive_analyses_per_sec\": {:.2}, \"incremental_analyses_per_sec\": {:.2}, \
-             \"prepared_analyses_per_sec\": {:.2}, \
-             \"speedup\": {:.2}, \"prepared_speedup\": {:.2}}}",
+            "    {{\"services\": {n}, \"naive_ns\": {naive}, \"prepared_ns\": {prepared}, \
+             \"naive_analyses_per_sec\": {:.2}, \"prepared_analyses_per_sec\": {:.2}, \
+             \"prepared_speedup\": {:.2}}}",
             per_sec(naive, 1),
-            per_sec(incremental, 1),
             per_sec(prepared, 1),
-            naive as f64 / incremental.max(1) as f64,
             naive as f64 / prepared.max(1) as f64,
         ));
     }

@@ -6,7 +6,7 @@
 //! ```
 
 use actfort_bench::{finish_trace, init_trace, print_table, Row, EXPERIMENT_SEED};
-use actfort_core::engine::BatchAnalyzer;
+use actfort_core::batch::BatchAnalyzer;
 use actfort_core::metrics::{depth_breakdown, depth_breakdown_overlapping};
 use actfort_core::profile::AttackerProfile;
 use actfort_ecosystem::policy::Platform;

@@ -55,42 +55,15 @@ impl ForwardResult {
 }
 
 /// Population size (eligible services on the analysed platform) below
-/// which [`forward`] dispatches to the naive loop. `BENCH_forward.json`
-/// shows the incremental engine's index construction is pure overhead on
-/// small populations (0.54× at 44 services) while the frontier pays off
-/// from a couple hundred nodes up (7.4× at 201, 7.6× at 400); the
-/// crossover sits between those measurements. Both sides produce
-/// identical results (see the equivalence tests and
-/// `forward_crossover_is_result_invariant`).
+/// which [`crate::query::Engine::Auto`] serves forward and score queries
+/// with the naive loop instead of the prepared substrate
+/// ([`crate::Prepared`]). `BENCH_forward.json` shows a cold prepared run
+/// (compilation included) is pure overhead on small populations (0.37×
+/// of naive at 44 services) and pays off from a couple hundred nodes up
+/// (22.5× at 201, 42.7× at 400); the crossover sits between those
+/// measurements. Both sides produce identical results (see the
+/// equivalence tests and `forward_crossover_is_result_invariant`).
 pub const NAIVE_CROSSOVER: usize = 50;
-
-/// The [`crate::query::Engine::Auto`] dispatcher: the naive full-rescan
-/// loop below [`NAIVE_CROSSOVER`] eligible services, the prepared
-/// substrate ([`crate::Prepared`]) at or above it — compile once,
-/// bitset fixed point after. `class` restricts which attack paths may
-/// fire (login-only, recovery-only, or all; see [`EdgeClass`]).
-pub(crate) fn forward_auto(
-    specs: &[ServiceSpec],
-    platform: Platform,
-    ap: &AttackerProfile,
-    seeds: &[ServiceId],
-    class: EdgeClass,
-) -> ForwardResult {
-    let eligible = specs
-        .iter()
-        .filter(|s| match platform {
-            Platform::Web => s.has_web,
-            Platform::MobileApp => s.has_mobile,
-        })
-        .count();
-    if eligible < NAIVE_CROSSOVER {
-        obs::add("analysis.dispatch_naive", 1);
-        forward_naive_impl(specs, platform, ap, seeds, class)
-    } else {
-        obs::add("analysis.dispatch_prepared", 1);
-        crate::prepared::Prepared::new(specs, platform, *ap).forward_in(class, seeds, true)
-    }
-}
 
 /// The naive full-rescan fixed point behind
 /// [`crate::query::Engine::Naive`]: rescans every standing node against
@@ -593,13 +566,7 @@ mod tests {
             }
             for platform in [Platform::Web, Platform::MobileApp] {
                 let naive = forward_naive(&specs, platform, &ap, &[]);
-                let incremental = Analysis::over(&specs, platform, ap)
-                    .forward(&[])
-                    .engine(Engine::Incremental)
-                    .run()
-                    .unwrap();
                 let auto = forward(&specs, platform, &ap, &[]);
-                assert_eq!(naive, incremental, "n={n} {platform}");
                 assert_eq!(auto, naive, "n={n} {platform} dispatch");
             }
         }

@@ -8,9 +8,8 @@
 //! leaked information alone. This ranks services by how dangerous their
 //! breach is to the rest of the ecosystem.
 
-use crate::analysis::forward_auto;
-use crate::engine::BatchAnalyzer;
 use crate::profile::AttackerProfile;
+use crate::query::Analysis;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::spec::ServiceSpec;
@@ -40,7 +39,8 @@ impl BlastRadius {
 /// profile (breach *plus* interception).
 ///
 /// The per-seed analyses are independent and run on `threads` worker
-/// threads.
+/// threads, sharing one compiled substrate when the population is large
+/// enough for the prepared engine to serve them.
 pub fn blast_radii(
     specs: &[ServiceSpec],
     platform: Platform,
@@ -56,14 +56,21 @@ pub fn blast_radii(
         })
         .map(|s| s.id.clone())
         .collect();
-    let mut out: Vec<BlastRadius> = BatchAnalyzer::new(threads).run(&seeds, |seed| {
-        let r = forward_auto(specs, platform, ap, std::slice::from_ref(seed), actfort_ecosystem::policy::EdgeClass::All);
-        BlastRadius {
-            seed: seed.clone(),
+    let seed_sets: Vec<Vec<ServiceId>> = seeds.iter().map(|s| vec![s.clone()]).collect();
+    let results = Analysis::over(specs, platform, *ap)
+        .forward(&[])
+        .threads(threads)
+        .run_each(&seed_sets)
+        .expect("every seed is drawn from the population, so none is unknown");
+    let mut out: Vec<BlastRadius> = seeds
+        .into_iter()
+        .zip(results)
+        .map(|(seed, r)| BlastRadius {
+            seed,
             victims: r.potential_victims(),
             rounds: r.rounds.len().saturating_sub(1),
-        }
-    });
+        })
+        .collect();
     out.sort_by(|a, b| b.cascade_size().cmp(&a.cascade_size()).then(a.seed.cmp(&b.seed)));
     out
 }

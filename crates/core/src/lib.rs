@@ -49,9 +49,9 @@
 
 pub mod analysis;
 pub mod backward;
-pub mod campaign;
-pub mod engine;
+pub mod batch;
 pub mod breach;
+pub mod campaign;
 pub mod counter;
 pub mod dot;
 pub mod error;

@@ -1,10 +1,11 @@
 //! Ecosystem measurement statistics — the numbers behind Fig. 3,
 //! Table I and the in-text dependency-depth table.
 
-use crate::analysis::{forward_auto, ForwardResult};
-use crate::engine::BatchAnalyzer;
+use crate::analysis::ForwardResult;
+use crate::batch::BatchAnalyzer;
 use crate::obs;
 use crate::profile::AttackerProfile;
+use crate::query::Analysis;
 use actfort_ecosystem::factor::CredentialFactor;
 use actfort_ecosystem::info::PersonalInfoKind;
 use actfort_ecosystem::policy::{PathClass, Platform, Purpose};
@@ -138,6 +139,18 @@ pub struct DepthBreakdown {
     pub total: usize,
 }
 
+/// The forward fixed point from the bare attacker profile (no seeds).
+pub(crate) fn profile_forward(
+    specs: &[ServiceSpec],
+    platform: Platform,
+    ap: &AttackerProfile,
+) -> ForwardResult {
+    Analysis::over(specs, platform, *ap)
+        .forward(&[])
+        .run()
+        .expect("a seedless forward query names no service, so it cannot fail")
+}
+
 /// Computes the dependency-depth breakdown by running the forward fixed
 /// point from the bare attacker profile.
 pub fn depth_breakdown(
@@ -146,7 +159,7 @@ pub fn depth_breakdown(
     ap: &AttackerProfile,
 ) -> DepthBreakdown {
     let _span = obs::span("metrics.depth");
-    let result: ForwardResult = forward_auto(specs, platform, ap, &[], actfort_ecosystem::policy::EdgeClass::All);
+    let result = profile_forward(specs, platform, ap);
     let total = on_platform(specs, platform).len();
     breakdown_of(&result, total)
 }
@@ -205,7 +218,7 @@ pub fn depth_breakdown_overlapping(
 ) -> DepthBreakdown {
     use crate::pool::{attack_paths, path_satisfied, InfoPool};
     let _span = obs::span("metrics.depth_overlapping");
-    let result = forward_auto(specs, platform, ap, &[], actfort_ecosystem::policy::EdgeClass::All);
+    let result = profile_forward(specs, platform, ap);
     let nodes: Vec<&ServiceSpec> = specs
         .iter()
         .filter(|s| match platform {

@@ -174,31 +174,6 @@ impl InfoPool {
     /// Count of distinct identity facts known, the currency of the
     /// customer-service social-engineering path.
     pub fn identity_fact_count(&self, ap: &AttackerProfile) -> usize {
-        PoolView::identity_fact_count(self, ap)
-    }
-}
-
-/// Canonical fingerprint of a pool's transferable knowledge — a bitmask
-/// of fully known kinds (in [`PersonalInfoKind::all`] order), the three
-/// positional coverage masks, and mailbox control. See
-/// [`InfoPool::signature`].
-pub(crate) type PoolSignature = (u16, [u32; 3], bool);
-
-/// Read-only knowledge queries factor satisfaction needs. Implemented
-/// by [`InfoPool`] and by the non-allocating two-pool union view behind
-/// [`path_satisfied_pair`], so single- and pair-provider checks share
-/// one factor semantics.
-pub trait PoolView {
-    /// Whether a kind is fully known (directly or via merged coverage).
-    fn has_full(&self, kind: PersonalInfoKind) -> bool;
-    /// Whether the attacker controls `service`.
-    fn owns(&self, service: &ServiceId) -> bool;
-    /// Whether the attacker controls the victim's mailbox.
-    fn owns_email_provider(&self) -> bool;
-
-    /// Count of distinct identity facts known, the currency of the
-    /// customer-service social-engineering path.
-    fn identity_fact_count(&self, ap: &AttackerProfile) -> usize {
         let mut n = 0;
         for kind in [
             PersonalInfoKind::RealName,
@@ -221,60 +196,14 @@ pub trait PoolView {
     }
 }
 
-impl PoolView for InfoPool {
-    fn has_full(&self, kind: PersonalInfoKind) -> bool {
-        InfoPool::has_full(self, kind)
-    }
+/// Canonical fingerprint of a pool's transferable knowledge — a bitmask
+/// of fully known kinds (in [`PersonalInfoKind::all`] order), the three
+/// positional coverage masks, and mailbox control. See
+/// [`InfoPool::signature`].
+pub(crate) type PoolSignature = (u16, [u32; 3], bool);
 
-    fn owns(&self, service: &ServiceId) -> bool {
-        InfoPool::owns(self, service)
-    }
-
-    fn owns_email_provider(&self) -> bool {
-        InfoPool::owns_email_provider(self)
-    }
-}
-
-/// Union of two pools, queried in place: equivalent to `merge_from`
-/// without building the merged pool. Positional coverage is OR-ed at
-/// query time, so complementary masks split across the two providers
-/// still complete a kind.
-struct PoolPair<'a> {
-    a: &'a InfoPool,
-    b: &'a InfoPool,
-}
-
-impl PoolView for PoolPair<'_> {
-    fn has_full(&self, kind: PersonalInfoKind) -> bool {
-        if self.a.full.contains(&kind) || self.b.full.contains(&kind) {
-            return true;
-        }
-        match canonical_len(kind) {
-            Some(len) => {
-                let mask = self.a.coverage.get(&kind).map_or(0, |c| c.0)
-                    | self.b.coverage.get(&kind).map_or(0, |c| c.0);
-                Coverage(mask).is_full(len)
-            }
-            None => false,
-        }
-    }
-
-    fn owns(&self, service: &ServiceId) -> bool {
-        self.a.owns(service) || self.b.owns(service)
-    }
-
-    fn owns_email_provider(&self) -> bool {
-        self.a.owns_email_provider || self.b.owns_email_provider
-    }
-}
-
-/// Whether a single factor is satisfiable from the profile plus any
-/// knowledge view (a single pool, or a two-pool union).
-pub fn factor_satisfied_view<Q: PoolView>(
-    factor: &CredentialFactor,
-    ap: &AttackerProfile,
-    pool: &Q,
-) -> bool {
+/// Whether a single factor is satisfiable from the profile plus pool.
+pub fn factor_satisfied(factor: &CredentialFactor, ap: &AttackerProfile, pool: &InfoPool) -> bool {
     match factor {
         CredentialFactor::SmsCode => ap.sms_interception,
         CredentialFactor::CellphoneNumber => {
@@ -303,26 +232,9 @@ pub fn factor_satisfied_view<Q: PoolView>(
     }
 }
 
-/// Whether a single factor is satisfiable from the profile plus pool.
-pub fn factor_satisfied(factor: &CredentialFactor, ap: &AttackerProfile, pool: &InfoPool) -> bool {
-    factor_satisfied_view(factor, ap, pool)
-}
-
 /// Whether every factor of `path` is satisfiable.
 pub fn path_satisfied(path: &AuthPath, ap: &AttackerProfile, pool: &InfoPool) -> bool {
-    path.factors.iter().all(|f| factor_satisfied_view(f, ap, pool))
-}
-
-/// Whether every factor of `path` is satisfiable from the union of two
-/// pools, without materializing a merged pool.
-pub fn path_satisfied_pair(
-    path: &AuthPath,
-    ap: &AttackerProfile,
-    a: &InfoPool,
-    b: &InfoPool,
-) -> bool {
-    let pair = PoolPair { a, b };
-    path.factors.iter().all(|f| factor_satisfied_view(f, ap, &pair))
+    path.factors.iter().all(|f| factor_satisfied(f, ap, pool))
 }
 
 /// Whether a path could *ever* be satisfied by any pool (i.e. contains no

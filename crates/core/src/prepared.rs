@@ -1,12 +1,10 @@
 //! The prepared analysis substrate: one compilation per
 //! `(population, platform, attacker-profile)`, many cheap analyses.
 //!
-//! The incremental engine in [`crate::engine`] already avoids the naive
-//! loop's full rescans, but it still pays a per-*run* tax that dominates
-//! batch sweeps: every `forward` call re-filters the spec list, rebuilds
-//! the reverse index, re-walks exposure lists into `InfoPool`s, and keys
-//! its `min_providers` memo on freshly cloned
-//! `Vec<Vec<CredentialFactor>>` lists compared `BTreeMap`-style. This
+//! The naive reference loop pays a per-*run* tax that dominates batch
+//! sweeps: every `forward` call re-filters the spec list, rescans every
+//! standing node each round, re-walks exposure lists into `InfoPool`s,
+//! and rebuilds provider pools inside every `min_providers` query. This
 //! module hoists all of that into [`Prepared`], built once and shared
 //! (immutably, hence freely across threads) by any number of analyses:
 //!
@@ -15,12 +13,16 @@
 //!   word bitsets instead of `BTreeSet<usize>`.
 //! - **Compiled paths.** Every attack path is folded against the static
 //!   attacker profile into a [`CPath`]: a 6-bit required-kind mask over
-//!   [`TRACKED_KINDS`](crate::engine), a mailbox bit, a
+//!   the six identity-fact kinds (`BIT_REAL_NAME` …), a mailbox bit, a
 //!   customer-service bit and resolved link ids. Factors the profile
 //!   satisfies outright vanish; factors it can never satisfy (SMS
 //!   without interception, unresolvable links, robust factors) kill the
 //!   path at compile time. Path satisfaction at run time is three mask
 //!   tests and a popcount.
+//! - **Frontier re-evaluation.** A reverse index maps each atom that can
+//!   still flip (a tracked kind, mailbox control, a linked provider) to
+//!   the nodes whose live paths read it; after round one, a round
+//!   re-evaluates only subscribers of atoms the previous round flipped.
 //! - **Compiled providers.** Each node's singleton pool is flattened to
 //!   a [`Provider`]: direct-full bits, the three positional coverage
 //!   masks, mailbox control and an interned pool-signature class (the
@@ -29,19 +31,19 @@
 //! - **Interned memo keys.** The cross-round `min_providers` memo is
 //!   keyed by a per-node *pathset id* — the interned, sorted list of
 //!   compiled path signatures — plus the representative-set generation.
-//!   A lookup is one array index and one integer compare; the old
-//!   engine cloned and ordered the factor lists on every query.
+//!   A lookup is one array index and one integer compare, with no
+//!   factor lists cloned or ordered per query.
 //! - **Scratch reuse.** All mutable run state lives in
 //!   [`ForwardScratch`]; [`Prepared::forward_with`] clears and reuses
 //!   it, so a sweep of N seed sets allocates once, not N times.
 //!
-//! Results are byte-identical to [`crate::analysis::forward_naive`] and
-//! the incremental engine — pinned by the unit tests below and the
-//! property tests in `tests/proptests.rs`. The memo key is coarser than
-//! the old engine's (distinct factor lists that compile to the same
-//! `CPath`s share an entry), which is sound because the `min_providers`
-//! answer is a function of the compiled form: hit counts may improve,
-//! answers cannot change. See DESIGN.md §12.
+//! Results are byte-identical to the naive reference
+//! ([`crate::query::Engine::Naive`]) — pinned by the unit tests below
+//! and the property tests in `tests/proptests.rs`. The memo key is
+//! coarser than the factor lists (distinct lists that compile to the
+//! same `CPath`s share an entry), which is sound because the
+//! `min_providers` answer is a function of the compiled form. See
+//! DESIGN.md §12.
 
 use crate::analysis::{CompromiseRecord, ForwardResult};
 use crate::obs;
@@ -58,9 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-unique substrate identity source (see [`Prepared::stamp`]).
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
-/// Tracked-kind bit positions, aligned with the engine's
-/// `TRACKED_KINDS` order: RealName, CitizenId, CellphoneNumber,
-/// Address, BankcardNumber, SecurityAnswers.
+/// Tracked-kind bit positions — the six identity facts the
+/// customer-service fact count consults, in order: RealName, CitizenId,
+/// CellphoneNumber, Address, BankcardNumber, SecurityAnswers.
 const BIT_REAL_NAME: u8 = 1 << 0;
 const BIT_CITIZEN_ID: u8 = 1 << 1;
 const BIT_CELLPHONE: u8 = 1 << 2;
@@ -131,7 +133,7 @@ fn tracked_bits(full_mask: u16) -> u8 {
 
 /// One attack path compiled against the static attacker profile.
 /// Factors the profile satisfies are gone; what remains is exactly the
-/// run-time-variable residue of `factor_satisfied_view`.
+/// run-time-variable residue of `factor_satisfied`.
 #[derive(Clone)]
 pub(crate) struct CPath {
     /// Tracked kinds that must be fully known.
@@ -208,12 +210,11 @@ pub(crate) struct Node {
     /// Interned pathset id for the `min_providers` memo, per edge
     /// class; `None` when any class-admitted path names a
     /// `LinkedAccount` (candidate set is then target-specific,
-    /// bypassing the memo — same rule as the incremental engine). The
-    /// memo stays sound per class because the key is the sorted
-    /// `(req, email, cs)` list of exactly the class-admitted live
-    /// paths: equal keys mean equal `min_providers` answers regardless
-    /// of which class produced them, so all three classes share one
-    /// interning map.
+    /// bypassing the memo). The memo stays sound per class because
+    /// the key is the sorted `(req, email, cs)` list of exactly the
+    /// class-admitted live paths: equal keys mean equal
+    /// `min_providers` answers regardless of which class produced
+    /// them, so all three classes share one interning map.
     pathset: [Option<u32>; 3],
 }
 
@@ -269,8 +270,8 @@ impl SubstratePatch {
     }
 }
 
-/// Counter handles for one prepared forward run; same names as the
-/// incremental engine, so dashboards and invariants carry over.
+/// Counter handles for one prepared forward run (the `engine.*`
+/// counters dashboards and the golden trace tests read).
 struct Stats {
     rounds: obs::Counter,
     evaluated: obs::Counter,
@@ -487,9 +488,8 @@ impl Prepared {
 
         // Reverse index over the atoms that can still flip: a node is
         // re-evaluated only when an unresolved input of one of its live
-        // paths changes. (The incremental engine subscribes every factor
-        // occurrence, resolved or not — sound but strictly larger
-        // frontiers.)
+        // paths changes. Atoms the profile resolved at compile time
+        // never subscribe, which keeps frontiers small.
         let mut kind_subs: [Vec<u32>; 6] = Default::default();
         let mut email_subs: Vec<u32> = Vec::new();
         let mut link_subs: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -587,8 +587,7 @@ impl Prepared {
     }
 
     /// The forward fixed point on this substrate, with a fresh scratch.
-    /// Result is byte-identical to `forward_naive` / the incremental
-    /// engine.
+    /// Result is byte-identical to the naive reference.
     pub fn forward(&self, seeds: &[ServiceId], memo_enabled: bool) -> ForwardResult {
         self.forward_with(&mut self.scratch(), seeds, memo_enabled)
     }
@@ -1101,9 +1100,9 @@ impl Prepared {
 
     /// Fewest previously-compromised providers whose pooled exposures
     /// (plus the profile) satisfy one of the node's live paths — 0, 1,
-    /// 2 or 3 (capped). Same enumeration as the incremental engine:
-    /// one candidate per informative pool-signature class, plus any
-    /// compromised provider the node links explicitly.
+    /// 2 or 3 (capped). Candidates are one provider per informative
+    /// pool-signature class, plus any compromised provider the node
+    /// links explicitly.
     #[allow(clippy::too_many_arguments)]
     fn min_providers(
         &self,
@@ -1213,8 +1212,7 @@ impl Prepared {
 }
 
 /// Files a newly compromised provider into its signature class,
-/// electing it representative if the class is new — the compiled form
-/// of the incremental engine's `ProviderIndex::register`.
+/// electing it representative if the class is new.
 #[inline]
 fn register(p: &Provider, i: u32, class_seen: &mut [u64], reps: &mut Vec<u32>, stats: &Stats) {
     if p.class == CLASS_NONE {
@@ -1328,7 +1326,7 @@ fn compile_path(
             // Secrets and robust factors are never satisfiable by
             // harvesting (and `attack_paths` already filters them);
             // unknown future variants conservatively match
-            // `factor_satisfied_view`'s `_ => false`.
+            // `factor_satisfied`'s `_ => false`.
             _ => return None,
         }
     }
@@ -1432,6 +1430,22 @@ mod tests {
         assert_eq!(rec("registry"), CompromiseRecord { round: 2, min_providers: 2 });
         assert_eq!(rec("vault"), CompromiseRecord { round: 3, min_providers: 1 });
         assert_eq!(r.uncompromised, vec![ServiceId::new("fortress")]);
+    }
+
+    #[test]
+    fn minprov_memo_fires_on_synthetic_population() {
+        // The only lib test toggling the global recorder; integration
+        // test binaries that do so run in their own processes.
+        let specs = actfort_ecosystem::synth::paper_population(7);
+        let prepared = Prepared::new(&specs, Platform::Web, AttackerProfile::paper_default());
+        let hits = obs::counter("engine.minprov_memo_hits");
+        let misses = obs::counter("engine.minprov_memo_misses");
+        let (h0, m0) = (hits.get(), misses.get());
+        obs::set_enabled(true);
+        prepared.forward(&[], true);
+        obs::set_enabled(false);
+        assert!(hits.get() > h0, "archetype cohorts should share memo entries");
+        assert!(misses.get() > m0, "first member of each cohort misses");
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! The unified query facade — one front door for every analysis.
 //!
-//! Historically each consumer picked one of seven free functions
-//! (`forward`, `forward_naive`, `forward_incremental`,
-//! `forward_incremental_unmemoized`, `backward_chains`,
-//! `backward_chains_naive`, `backward_chains_naive_bounded`), wiring
-//! engine choice, memoization and budgets positionally. Those wrappers
-//! are gone; [`Analysis`] is the single builder they all collapsed
-//! into: pick a *source* (a built [`Tdg`] or raw specs), a *direction*
+//! [`Analysis`] is the single builder every analysis goes through:
+//! pick a *source* (a built [`Tdg`] or raw specs), a *direction*
 //! (forward seeds or a backward target), then tune knobs and `run()`.
-//! Engine selection is explicit ([`Engine`]) with [`Engine::Auto`]
-//! reproducing the historical population-size dispatch bit for bit —
-//! including its `obs` counters, so golden traces are unchanged.
+//! Engine selection is explicit ([`Engine`]); [`Engine::Auto`] picks by
+//! population size, through one rule per direction
+//! ([`NAIVE_CROSSOVER`] for forward and score, [`BACKWARD_CROSSOVER`]
+//! for backward).
 //!
 //! Every query accepts an [`EdgeClass`] filter (default
 //! [`EdgeClass::All`], which is byte-identical to the unfiltered
@@ -56,12 +52,12 @@
 //! returned empty chain lists for unknown targets).
 
 use crate::analysis::{
-    backward_chains_naive_budget, forward_auto, forward_naive_impl, AttackChain, ForwardResult,
+    backward_chains_naive_budget, forward_naive_impl, AttackChain, ForwardResult,
     MAX_BACKWARD_PARTIALS, NAIVE_CROSSOVER,
 };
 use crate::backward::BackwardEngine;
+use crate::batch::BatchAnalyzer;
 use crate::counter::{canonical_set, Countermeasure, Patcher};
-use crate::engine::{forward_incremental_impl, BatchAnalyzer};
 use crate::error::Error;
 use crate::metrics::{breakdown_of, DepthBreakdown};
 use crate::obs;
@@ -72,6 +68,7 @@ use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
+use std::borrow::Cow;
 
 /// Population size (eligible services) below which [`Engine::Auto`]
 /// serves *backward* queries with the naive BFS instead of the
@@ -92,31 +89,28 @@ use actfort_ecosystem::spec::ServiceSpec;
 /// straddle regression test).
 pub const BACKWARD_CROSSOVER: usize = 210;
 
-/// Which implementation serves a query. The facade makes the historical
-/// implicit dispatch explicit; results are engine-independent (property
-/// tested), only the work schedule differs.
+/// Which implementation serves a query. Results are engine-independent
+/// (property tested); only the work schedule differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Population-size dispatch: the naive loop below
-    /// [`crate::analysis::NAIVE_CROSSOVER`] eligible services, the
-    /// incremental / best-first engine at or above it. Identical to the
-    /// historical `forward` / `backward_chains` behaviour, `obs`
-    /// counters included.
+    /// Population-size dispatch: the naive reference below the
+    /// direction's crossover ([`NAIVE_CROSSOVER`] eligible services for
+    /// forward and score, [`BACKWARD_CROSSOVER`] for backward), the
+    /// production engine at or above it.
     #[default]
     Auto,
-    /// The interned analysis substrate ([`crate::Prepared`]): compile
-    /// the population once into bitset/integer-coded form, then run the
-    /// fixed point on scratch buffers. What [`Engine::Auto`] serves at
-    /// or above the crossover; explicit selection forces it even on
-    /// small populations. Backward queries treat it as
-    /// [`Engine::Incremental`].
+    /// The production engine. Forward and score queries run on the
+    /// interned analysis substrate ([`crate::Prepared`]): compile the
+    /// population once into bitset/integer-coded form, then run the
+    /// fixed point on scratch buffers (score queries take the 64-lane
+    /// schedule). Backward queries run the best-first arena
+    /// [`BackwardEngine`]. Explicit selection forces it even on small
+    /// populations.
     Prepared,
-    /// The incremental frontier engine for forward, the best-first
-    /// arena engine for backward.
-    Incremental,
     /// The reference implementation: full-rescan fixed point for
-    /// forward, clone-heavy BFS for backward. Kept for equivalence
-    /// proofs and baselines.
+    /// forward, the scalar one-user-at-a-time loop for score,
+    /// clone-heavy BFS for backward. Kept for equivalence proofs and
+    /// baselines.
     Naive,
 }
 
@@ -176,6 +170,19 @@ impl Source<'_> {
             Source::Raw { specs, platform, ap } => {
                 std::sync::Arc::new(Prepared::new(specs, *platform, *ap))
             }
+        }
+    }
+
+    /// Whether the prepared substrate serves `engine` on this source —
+    /// the one naive-versus-prepared rule for forward and score
+    /// queries: forced by [`Engine::Prepared`], refused by
+    /// [`Engine::Naive`], picked by [`Engine::Auto`] at or above
+    /// [`NAIVE_CROSSOVER`] eligible services.
+    fn serves_prepared(&self, engine: Engine) -> bool {
+        match engine {
+            Engine::Prepared => true,
+            Engine::Naive => false,
+            Engine::Auto => self.eligible() >= NAIVE_CROSSOVER,
         }
     }
 
@@ -309,8 +316,8 @@ impl<'a> ForwardQuery<'a> {
         self
     }
 
-    /// Toggles the incremental engine's cross-round `min_providers`
-    /// memo (default on; ignored by the naive engine, which has none).
+    /// Toggles the prepared engine's cross-round `min_providers` memo
+    /// (default on; ignored by the naive engine, which has none).
     pub fn memo(mut self, enabled: bool) -> Self {
         self.memo = enabled;
         self
@@ -339,36 +346,14 @@ impl<'a> ForwardQuery<'a> {
         Ok(())
     }
 
-    /// Whether this query is served by the prepared substrate: forced
-    /// by [`Engine::Prepared`], picked by [`Engine::Auto`] at or above
-    /// the crossover.
-    fn uses_prepared(&self) -> bool {
-        match self.engine {
-            Engine::Prepared => true,
-            Engine::Auto => self.source.eligible() >= NAIVE_CROSSOVER,
-            Engine::Incremental | Engine::Naive => false,
-        }
-    }
-
-    /// Runs `f` against the substrate (see [`Source::with_substrate`]).
-    fn with_substrate<R>(&self, f: impl FnOnce(&Prepared) -> R) -> R {
-        self.source.with_substrate(f)
-    }
-
     fn dispatch(&self, seeds: &[ServiceId]) -> ForwardResult {
-        let (specs, platform) = (self.source.specs(), self.source.platform());
-        let ap = self.source.profile();
-        match self.engine {
-            Engine::Auto | Engine::Prepared if self.uses_prepared() => {
-                obs::add("analysis.dispatch_prepared", 1);
-                self.with_substrate(|p| p.forward_in(self.class, seeds, self.memo))
-            }
-            Engine::Auto => forward_auto(specs, platform, &ap, seeds, self.class),
-            Engine::Prepared => unreachable!("Engine::Prepared always uses the substrate"),
-            Engine::Naive => forward_naive_impl(specs, platform, &ap, seeds, self.class),
-            Engine::Incremental => {
-                forward_incremental_impl(specs, platform, &ap, seeds, self.memo, self.class)
-            }
+        if self.source.serves_prepared(self.engine) {
+            obs::add("analysis.dispatch_prepared", 1);
+            self.source.with_substrate(|p| p.forward_in(self.class, seeds, self.memo))
+        } else {
+            obs::add("analysis.dispatch_naive", 1);
+            let ap = self.source.profile();
+            forward_naive_impl(self.source.specs(), self.source.platform(), &ap, seeds, self.class)
         }
     }
 
@@ -402,33 +387,29 @@ impl<'a> ForwardQuery<'a> {
             None => BatchAnalyzer::from_env()?,
         };
         let _span = self.trace.map(obs::span);
-        if self.uses_prepared() {
-            return Ok(self.with_substrate(|prepared| {
+        if self.source.serves_prepared(self.engine) {
+            return Ok(self.source.with_substrate(|prepared| {
                 analyzer.run_with(
                     seed_sets,
                     || prepared.scratch(),
                     |scratch, set| {
                         obs::add("analysis.dispatch_prepared", 1);
-                        if self.seeds.is_empty() {
-                            prepared.forward_in_with(scratch, self.class, set, self.memo)
-                        } else {
-                            let mut all = self.seeds.to_vec();
-                            all.extend(set.iter().cloned());
-                            prepared.forward_in_with(scratch, self.class, &all, self.memo)
-                        }
+                        let seeds = self.with_query_seeds(set);
+                        prepared.forward_in_with(scratch, self.class, &seeds, self.memo)
                     },
                 )
             }));
         }
-        Ok(analyzer.run(seed_sets, |set| {
-            if self.seeds.is_empty() {
-                self.dispatch(set)
-            } else {
-                let mut all = self.seeds.to_vec();
-                all.extend(set.iter().cloned());
-                self.dispatch(&all)
-            }
-        }))
+        Ok(analyzer.run(seed_sets, |set| self.dispatch(&self.with_query_seeds(set))))
+    }
+
+    /// `set` with the seeds given at [`Analysis::forward`] prepended.
+    fn with_query_seeds<'s>(&self, set: &'s [ServiceId]) -> Cow<'s, [ServiceId]> {
+        if self.seeds.is_empty() {
+            Cow::Borrowed(set)
+        } else {
+            Cow::Owned(self.seeds.iter().chain(set).cloned().collect())
+        }
     }
 }
 
@@ -436,10 +417,10 @@ impl<'a> ForwardQuery<'a> {
 /// [`Analysis::score_users`].
 ///
 /// Both engines run on the prepared substrate (overlays only exist
-/// there); the knob selects the *schedule*: the 64-lane bit-parallel
-/// sweep ([`Engine::Prepared`], or [`Engine::Auto`] at/above the
-/// forward crossover) versus the scalar one-user-at-a-time reference
-/// loop ([`Engine::Naive`] / [`Engine::Incremental`], or Auto below
+/// there); the knob selects the *schedule* by the same rule as forward
+/// queries: the 64-lane bit-parallel sweep ([`Engine::Prepared`], or
+/// [`Engine::Auto`] at/above [`NAIVE_CROSSOVER`]) versus the scalar
+/// one-user-at-a-time reference loop ([`Engine::Naive`], or Auto below
 /// it). Results are schedule-independent (property tested).
 pub struct ScoreQuery<'a> {
     source: Source<'a>,
@@ -469,17 +450,6 @@ impl<'a> ScoreQuery<'a> {
         self
     }
 
-    /// Whether the 64-lane sweep serves the batch (versus the scalar
-    /// reference loop). Mirrors the forward crossover: below it the
-    /// transpose overhead outweighs the lane win on tiny populations.
-    fn uses_lanes(&self) -> bool {
-        match self.engine {
-            Engine::Prepared => true,
-            Engine::Auto => self.source.eligible() >= NAIVE_CROSSOVER,
-            Engine::Incremental | Engine::Naive => false,
-        }
-    }
-
     /// Runs the query, returning one [`UserScore`] per profile in input
     /// order. Fails with [`Error::UnknownService`] if any profile holds
     /// a service absent from the population.
@@ -496,7 +466,9 @@ impl<'a> ScoreQuery<'a> {
                 .iter()
                 .map(|u| prepared.overlay(&u.services, u.factors))
                 .collect();
-            if self.uses_lanes() {
+            // Below the crossover the transpose overhead outweighs the
+            // lane win on tiny populations.
+            if self.source.serves_prepared(self.engine) {
                 obs::add("analysis.dispatch_score", 1);
                 let mut scratch = prepared.overlay_scratch();
                 prepared.score_users_in(&overlays, &mut scratch, self.class)
@@ -551,7 +523,7 @@ impl<'a> BackwardQuery<'a> {
     /// Serves the query through a prebuilt [`BackwardEngine`] instead
     /// of constructing one, amortizing graph flattening and the
     /// fringe-support memo across queries. Implies
-    /// [`Engine::Incremental`].
+    /// [`Engine::Prepared`].
     pub fn via(mut self, engine: &'a BackwardEngine) -> Self {
         self.via = Some(engine);
         self
@@ -626,7 +598,7 @@ impl<'a> BackwardQuery<'a> {
             }
             Engine::Auto => {
                 obs::add("analysis.backward_dispatch_engine", 1);
-                Engine::Incremental
+                Engine::Prepared
             }
             explicit => explicit,
         };
@@ -642,7 +614,7 @@ impl<'a> BackwardQuery<'a> {
                 };
                 Ok(backward_chains_naive_budget(tdg, self.target, self.max_chains, budget, class))
             }
-            Engine::Auto | Engine::Prepared | Engine::Incremental => {
+            Engine::Auto | Engine::Prepared => {
                 let engine = match &self.source {
                     Source::Graph(tdg) => BackwardEngine::new(tdg),
                     Source::Raw { specs, platform, ap } => {
@@ -897,7 +869,7 @@ mod tests {
         let specs = curated_services();
         for platform in [Platform::Web, Platform::MobileApp] {
             let base = Analysis::over(&specs, platform, ap()).forward(&[]).run().unwrap();
-            for engine in [Engine::Auto, Engine::Prepared, Engine::Incremental, Engine::Naive] {
+            for engine in [Engine::Auto, Engine::Prepared, Engine::Naive] {
                 let got = Analysis::over(&specs, platform, ap())
                     .forward(&[])
                     .engine(engine)
@@ -907,7 +879,7 @@ mod tests {
             }
             let unmemoized = Analysis::over(&specs, platform, ap())
                 .forward(&[])
-                .engine(Engine::Incremental)
+                .engine(Engine::Prepared)
                 .memo(false)
                 .run()
                 .unwrap();
@@ -962,7 +934,7 @@ mod tests {
             for target in &targets {
                 let auto =
                     Analysis::of(&tdg).backward(target).max_chains(4).run().unwrap();
-                for engine in [Engine::Incremental, Engine::Naive] {
+                for engine in [Engine::Prepared, Engine::Naive] {
                     let explicit = Analysis::of(&tdg)
                         .backward(target)
                         .max_chains(4)

@@ -2,7 +2,6 @@
 //! operator: how their account can fall, through whom, and which of the
 //! paper's countermeasures would help.
 
-use crate::analysis::forward_auto;
 use crate::backward::BackwardEngine;
 use crate::pool::attack_paths;
 use crate::profile::AttackerProfile;
@@ -64,7 +63,7 @@ pub struct RiskAssessment {
 pub fn assess(specs: &[ServiceSpec], platform: Platform, ap: &AttackerProfile) -> Vec<RiskAssessment> {
     let tdg = Tdg::build(specs, platform, *ap);
     let backward = BackwardEngine::new(&tdg);
-    let fwd = forward_auto(specs, platform, ap, &[], actfort_ecosystem::policy::EdgeClass::All);
+    let fwd = crate::metrics::profile_forward(specs, platform, ap);
     let mut out = Vec::with_capacity(tdg.node_count());
     for i in 0..tdg.node_count() {
         let spec = tdg.spec(i);

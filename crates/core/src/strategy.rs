@@ -1,8 +1,9 @@
 //! The strategy engine — §III-E's two queries behind one API.
 
-use crate::analysis::{forward_auto, AttackChain, ForwardResult};
+use crate::analysis::{AttackChain, ForwardResult};
 use crate::backward::BackwardEngine;
 use crate::profile::AttackerProfile;
+use crate::query::Analysis;
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::Platform;
@@ -39,9 +40,15 @@ impl StrategyEngine {
     }
 
     /// Query 1 — forward: given already-compromised accounts (OAAS),
-    /// return everything that falls (PAV).
+    /// return everything that falls (PAV). Seeds naming no service in
+    /// the snapshot are ignored.
     pub fn potential_victims(&self, seeds: &[ServiceId]) -> ForwardResult {
-        forward_auto(&self.specs, self.platform, &self.ap, seeds, actfort_ecosystem::policy::EdgeClass::All)
+        let known: Vec<ServiceId> =
+            seeds.iter().filter(|id| self.specs.iter().any(|s| &s.id == *id)).cloned().collect();
+        Analysis::over(&self.specs, self.platform, self.ap)
+            .forward(&known)
+            .run()
+            .expect("unknown seeds were filtered out")
     }
 
     /// Query 2 — backward: attack chains reaching `target` from

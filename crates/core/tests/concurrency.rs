@@ -1,11 +1,11 @@
-//! Concurrency invariants of [`actfort_core::engine::BatchAnalyzer`]:
+//! Concurrency invariants of [`actfort_core::batch::BatchAnalyzer`]:
 //! results are positionally identical regardless of worker count, and
 //! the lock-free obs counters aggregate to the same totals however the
 //! work is sharded.
 //!
-//! These tests flip the process-global obs recorder, so they live in
-//! their own integration-test binary (own process) and serialize against
-//! each other through [`obs_lock`].
+//! One test flips the process-global obs recorder while the others run
+//! instrumented code, so they live in their own integration-test binary
+//! (own process) and every test serializes through [`obs_lock`].
 
 use actfort_core::breach::blast_radii;
 use actfort_core::metrics::depth_breakdowns;
@@ -22,6 +22,7 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 
 #[test]
 fn blast_radii_identical_across_thread_counts() {
+    let _g = obs_lock();
     let specs = curated_services();
     let ap = AttackerProfile::none();
     for platform in [Platform::Web, Platform::MobileApp] {
@@ -35,6 +36,7 @@ fn blast_radii_identical_across_thread_counts() {
 
 #[test]
 fn depth_breakdowns_identical_across_thread_counts() {
+    let _g = obs_lock();
     let specs = curated_services();
     let scenarios: Vec<(Platform, AttackerProfile)> = vec![
         (Platform::Web, AttackerProfile::paper_default()),

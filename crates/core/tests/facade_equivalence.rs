@@ -14,7 +14,7 @@ use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, SynthConfig};
 
 /// Curated cores plus synthetic tail: big enough (> NAIVE_CROSSOVER) to
-/// exercise the incremental side of the Auto dispatch too.
+/// exercise the prepared side of the Auto dispatch too.
 fn population() -> Vec<ServiceSpec> {
     let mut specs = curated_services();
     specs.extend(generate(30, 11, &SynthConfig::default()));
@@ -30,7 +30,7 @@ fn every_forward_engine_agrees_with_auto() {
     let specs = population();
     for seeds in [vec![], vec![ServiceId::new("gmail")]] {
         let auto = Analysis::over(&specs, Platform::Web, ap()).forward(&seeds).run().unwrap();
-        for engine in [Engine::Naive, Engine::Prepared, Engine::Incremental] {
+        for engine in [Engine::Naive, Engine::Prepared] {
             let picked = Analysis::over(&specs, Platform::Web, ap())
                 .forward(&seeds)
                 .engine(engine)
@@ -42,16 +42,16 @@ fn every_forward_engine_agrees_with_auto() {
 }
 
 #[test]
-fn unmemoized_incremental_agrees_with_memoized() {
+fn unmemoized_prepared_agrees_with_memoized() {
     let specs = population();
     let memo = Analysis::over(&specs, Platform::Web, ap())
         .forward(&[])
-        .engine(Engine::Incremental)
+        .engine(Engine::Prepared)
         .run()
         .unwrap();
     let unmemo = Analysis::over(&specs, Platform::Web, ap())
         .forward(&[])
-        .engine(Engine::Incremental)
+        .engine(Engine::Prepared)
         .memo(false)
         .run()
         .unwrap();
@@ -82,15 +82,13 @@ fn edge_class_filter_agrees_across_forward_engines() {
             .edge_class(class)
             .run()
             .unwrap();
-        for engine in [Engine::Prepared, Engine::Incremental] {
-            let picked = Analysis::over(&specs, Platform::Web, ap())
-                .forward(&[])
-                .engine(engine)
-                .edge_class(class)
-                .run()
-                .unwrap();
-            assert_eq!(naive, picked, "{engine:?} diverged from naive under {class}");
-        }
+        let prepared = Analysis::over(&specs, Platform::Web, ap())
+            .forward(&[])
+            .engine(Engine::Prepared)
+            .edge_class(class)
+            .run()
+            .unwrap();
+        assert_eq!(naive, prepared, "Prepared diverged from naive under {class}");
     }
 }
 

@@ -179,6 +179,26 @@ fn score_batch_dispatches_once_and_never_reprepares_per_user() {
     assert_eq!(c("analysis.dispatch_score_scalar"), 1);
 }
 
+#[test]
+fn blast_radii_sweep_compiles_one_substrate() {
+    let _g = obs_lock();
+    let specs = paper_population(SEED);
+    obs::reset();
+    obs::set_enabled(true);
+    let radii =
+        actfort_core::breach::blast_radii(&specs, Platform::Web, &AttackerProfile::none(), 2);
+    obs::set_enabled(false);
+    let snap = obs::snapshot();
+    obs::reset();
+    let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    // Every seed is its own prepared run, but the substrate is compiled
+    // once for the whole sweep and shared by the workers — not once per
+    // seed.
+    assert_eq!(c("analysis.dispatch_prepared"), radii.len() as u64);
+    assert_eq!(c("engine.runs"), radii.len() as u64);
+    assert_eq!(c("engine.prepares"), 1, "one compilation per sweep, not per seed");
+}
+
 /// One instrumented fixed-seed campaign (single shard, so every span
 /// lands on this thread) plus its ecosystem assessment.
 fn traced_campaign() -> (actfort_gsm::campaign::CampaignReport, obs::ObsSnapshot) {
@@ -287,7 +307,7 @@ fn backward_auto_dispatch_flips_at_the_crossover() {
         let n = count(counter, &|| {
             Analysis::of(&below)
                 .backward(&"paypal".into())
-                .engine(actfort_core::Engine::Incremental)
+                .engine(actfort_core::Engine::Prepared)
                 .run()
                 .unwrap();
             Analysis::of(&below).backward(&"paypal".into()).via(&engine).run().unwrap();

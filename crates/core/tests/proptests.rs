@@ -212,13 +212,13 @@ proptest! {
         }
     }
 
-    /// Engine equivalence: the incremental frontier engine behind
-    /// [`forward`] and the naive full-rescan reference produce identical
-    /// round layering, per-service compromise records (round *and*
-    /// minimum provider count) and survivor sets, across random
-    /// ecosystems, platforms, profiles and seed accounts.
+    /// Dispatch equivalence: whatever engine [`Engine::Auto`] picks
+    /// behind [`forward`], it and the naive full-rescan reference
+    /// produce identical round layering, per-service compromise records
+    /// (round *and* minimum provider count) and survivor sets, across
+    /// random ecosystems, platforms, profiles and seed accounts.
     #[test]
-    fn incremental_engine_matches_naive_reference(
+    fn auto_dispatch_matches_naive_reference(
         seed in any::<u64>(),
         pick in 0usize..16,
         profile_pick in 0usize..3,

@@ -16,6 +16,10 @@
 //! A third pin covers amortization semantics: one `Patcher` answers
 //! every subset with at most one patch compilation each (the subset
 //! cache) and zero substrate recompiles.
+//!
+//! That pin flips the process-global obs recorder while the other tests
+//! run instrumented code, so every test in this binary serializes
+//! through [`obs_lock`].
 
 use actfort_core::counter::{self, apply_all, Countermeasure, Patcher};
 use actfort_core::profile::AttackerProfile;
@@ -24,7 +28,12 @@ use actfort_core::{obs, Prepared, Tdg};
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, SynthConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn populations() -> Vec<(&'static str, Vec<ServiceSpec>)> {
     let mut curated_plus = actfort_ecosystem::dataset::curated_services();
@@ -51,6 +60,7 @@ fn subsets() -> Vec<Vec<Countermeasure>> {
 
 #[test]
 fn patched_forward_equals_cold_recompile_for_every_subset() {
+    let _g = obs_lock();
     let ap = AttackerProfile::paper_default();
     for (name, specs) in populations() {
         for platform in [Platform::Web, Platform::MobileApp] {
@@ -72,6 +82,7 @@ fn patched_forward_equals_cold_recompile_for_every_subset() {
 
 #[test]
 fn whatif_breakdowns_equal_the_spec_rewrite_reference_for_every_subset() {
+    let _g = obs_lock();
     let ap = AttackerProfile::paper_default();
     for (name, specs) in populations() {
         for platform in [Platform::Web, Platform::MobileApp] {
@@ -100,6 +111,7 @@ fn whatif_breakdowns_equal_the_spec_rewrite_reference_for_every_subset() {
 
 #[test]
 fn one_patcher_serves_the_sweep_without_substrate_recompiles() {
+    let _g = obs_lock();
     obs::reset();
     obs::set_enabled(true);
     let specs = actfort_ecosystem::dataset::curated_services();

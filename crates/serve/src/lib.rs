@@ -27,7 +27,7 @@
 //!   bytes, keyed on the canonicalized query + engine + snapshot
 //!   generation.
 //! - [`queue`] — a bounded work queue over a fixed worker pool (sized
-//!   like [`BatchAnalyzer`](actfort_core::engine::BatchAnalyzer));
+//!   like [`BatchAnalyzer`](actfort_core::batch::BatchAnalyzer));
 //!   when full the server sheds load with `503` + `Retry-After`.
 //! - [`server`] — routing on the reactor thread, deadlines (translated
 //!   into the backward engine's partial budget) and graceful

@@ -6,7 +6,7 @@
 //! [`WorkQueue::submit`] refuses immediately and the server answers
 //! `503` + `Retry-After` instead of letting latency grow without bound
 //! (the backpressure contract in DESIGN.md §11). Worker sizing follows
-//! the [`BatchAnalyzer`](actfort_core::engine::BatchAnalyzer) thread
+//! the [`BatchAnalyzer`](actfort_core::batch::BatchAnalyzer) thread
 //! pool — the same `ACTFORT_THREADS`-aware probe the batch engine uses.
 
 use crate::obs_names;

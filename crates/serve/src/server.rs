@@ -18,7 +18,7 @@ use crate::queue::WorkQueue;
 use crate::reactor::{CompletionSender, Handler, Reactor, ReactorConfig, ResponseSlot};
 use crate::snapshot::{Dataset, SnapshotStore};
 use crate::wire;
-use actfort_core::engine::BatchAnalyzer;
+use actfort_core::batch::BatchAnalyzer;
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
 use actfort_core::{obs, Error};

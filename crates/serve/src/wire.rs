@@ -74,7 +74,7 @@ fn parse_common(doc: &Json) -> Result<RequestCommon, Error> {
 pub struct ForwardRequest {
     /// Seed accounts assumed already compromised (may be empty).
     pub seeds: Vec<ServiceId>,
-    /// Incremental-engine memo toggle.
+    /// Prepared-engine `min_providers` memo toggle.
     pub memo: bool,
     /// The shared request envelope.
     pub common: RequestCommon,
@@ -164,11 +164,9 @@ fn field_engine(doc: &Json) -> Result<Engine, Error> {
         Some(Json::Str(s)) => match s.as_str() {
             "auto" => Ok(Engine::Auto),
             "prepared" => Ok(Engine::Prepared),
-            "incremental" => Ok(Engine::Incremental),
             "naive" => Ok(Engine::Naive),
             other => Err(Error::Query(format!(
-                "unknown engine {other:?} (expected \"auto\", \"prepared\", \"incremental\" or \
-                 \"naive\")"
+                "unknown engine {other:?} (expected \"auto\", \"prepared\" or \"naive\")"
             ))),
         },
         Some(_) => Err(Error::Query("\"engine\" must be a string".into())),
@@ -193,7 +191,6 @@ pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Auto => "auto",
         Engine::Prepared => "prepared",
-        Engine::Incremental => "incremental",
         Engine::Naive => "naive",
     }
 }

@@ -10,7 +10,9 @@
 //!    rejects unknown spellings with the query discriminant, and a
 //!    `recovery_only` forward differs from the unfiltered one on the
 //!    curated dataset (the recovery surface is real, not a no-op
-//!    filter).
+//!    filter);
+//! 5. the retired `"incremental"` engine spelling is an unknown engine
+//!    at both spellings of the route.
 //!
 //! The obs recorder is process-global, so tests serialize behind one
 //! mutex.
@@ -167,6 +169,33 @@ fn edge_class_filters_over_the_wire_and_rejects_unknown_spellings() {
         .expect("backward filtered");
     assert_eq!(filtered.status, 200, "{}", filtered.text());
     assert_ne!(full.body, filtered.body, "filter must reach the chain search");
+
+    handle.shutdown();
+    actfort_core::obs::set_enabled(false);
+}
+
+#[test]
+fn retired_incremental_engine_rejects_at_both_spellings() {
+    let _g = lock();
+    obs_reset_enabled();
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    for path in ["/forward", "/v1/forward"] {
+        let resp = client.post(path, br#"{"engine":"incremental"}"#).expect("request");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.text());
+        assert_eq!(
+            error_field(&resp, "code").as_num(),
+            Some(f64::from(actfort_core::error::CODE_QUERY)),
+            "{path}"
+        );
+        let message = error_field(&resp, "message");
+        let message = message.as_str().expect("error message is a string");
+        assert!(
+            message.contains(r#""auto", "prepared" or "naive""#),
+            "{path}: the rejection lists the live engines: {message}"
+        );
+    }
 
     handle.shutdown();
     actfort_core::obs::set_enabled(false);

@@ -55,6 +55,7 @@ fn malformed_profiles_reject_with_stable_discriminants() {
         br#"{"profiles":[{"services":[],"factors":"sms_code"}]}"#,
         br#"{"profiles":[{"services":[],"factors":["warp_drive"]}]}"#,
         br#"{"profiles":[],"engine":"warp"}"#,
+        br#"{"profiles":[],"engine":"incremental"}"#,
         b"not json at all",
     ] {
         let resp = client.post("/score", body).expect("request");
