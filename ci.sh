@@ -29,14 +29,10 @@ cargo run --release -q -p actfort-bench --bin backward_smoke
 echo "==> batch smoke: shared-substrate sweep speedup (skips on <4 threads)"
 cargo run --release -q -p actfort-bench --bin batch_check
 
-echo "==> serve smoke: concurrent load + keep-alive/pipelining + /metrics trace_check"
+echo "==> serve smoke: concurrent load + keep-alive/pipelining + forward p50 < 10 ms + /metrics trace_check"
 cargo run --release -q -p actfort-bench --bin serve_smoke -- --metrics-out "$trace_tmp/serve_metrics.json"
 cargo run --release -q -p actfort-bench --bin trace_check -- "$trace_tmp/serve_metrics.json" \
     serve.forward serve.backward
-
-echo "==> serve latency gate: loadgen forward p50 < 10 ms"
-cargo run --release -q -p actfort-bench --bin loadgen -- --connections 4 --max-p50-ms 10 \
-    --out "$trace_tmp/bench_serve.json"
 
 echo "==> score throughput gate: 64-lane sweep >= 1M user-scores/min single-core"
 cargo run --release -q -p actfort-bench --bin score_sweep -- --users 65536 \

@@ -64,9 +64,9 @@ fn main() {
     obs::set_enabled(true);
     let count = |name: &str| obs::snapshot().counters.get(name).copied().unwrap_or(0);
     let prepares_before = count("engine.prepares");
-    let all = base.forward_in(EdgeClass::All, &[], true);
-    let login = base.forward_in(EdgeClass::LoginOnly, &[], true);
-    let recovery = base.forward_in(EdgeClass::RecoveryOnly, &[], true);
+    let all = base.forward(&mut base.scratch(), EdgeClass::All, &[], true);
+    let login = base.forward(&mut base.scratch(), EdgeClass::LoginOnly, &[], true);
+    let recovery = base.forward(&mut base.scratch(), EdgeClass::RecoveryOnly, &[], true);
     let prepares_during_sweep = count("engine.prepares") - prepares_before;
     obs::set_enabled(false);
     assert_eq!(
@@ -96,7 +96,7 @@ fn main() {
     let mut time_class = |class: EdgeClass| {
         let started = Instant::now();
         for _ in 0..ITERS {
-            let result = base.forward_in_with(&mut scratch, class, &[], true);
+            let result = base.forward(&mut scratch, class, &[], true);
             std::hint::black_box(&result);
         }
         started.elapsed().as_nanos().max(1)

@@ -14,7 +14,7 @@
 use actfort_bench::{splice_section, EXPERIMENT_SEED};
 use actfort_core::profile::AttackerProfile;
 use actfort_core::{OverlayFactor, Prepared, UserOverlay, UserScore};
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::synth::paper_population;
 use std::time::Instant;
 
@@ -105,18 +105,18 @@ fn main() {
     let mut lane_scratch = prepared.overlay_scratch();
     let mut scalar_scratch = prepared.scratch();
     let sample = 192.min(users);
-    let lane_sample = prepared.score_users(&overlays[..sample], &mut lane_scratch);
+    let lane_sample = prepared.score_users(&overlays[..sample], &mut lane_scratch, EdgeClass::All);
     for (i, (overlay, got)) in overlays[..sample].iter().zip(&lane_sample).enumerate() {
-        let want = prepared.score_one(overlay, &mut scalar_scratch);
+        let want = prepared.score_one(overlay, &mut scalar_scratch, EdgeClass::All);
         assert_eq!(*got, want, "lane/scalar divergence at user {i}");
     }
     println!("score_sweep: lane sweep matches the scalar reference on {sample} sampled users");
 
     // Warmup sizes the scratch planes; the measured run allocates
     // nothing (per-score Vec<UserScore> output aside).
-    prepared.score_users(&overlays, &mut lane_scratch);
+    prepared.score_users(&overlays, &mut lane_scratch, EdgeClass::All);
     let score_started = Instant::now();
-    let scores: Vec<UserScore> = prepared.score_users(&overlays, &mut lane_scratch);
+    let scores: Vec<UserScore> = prepared.score_users(&overlays, &mut lane_scratch, EdgeClass::All);
     let score_ns = score_started.elapsed().as_nanos().max(1);
     assert_eq!(scores.len(), users);
 

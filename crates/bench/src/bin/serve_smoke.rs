@@ -3,7 +3,8 @@
 //! forward/backward traffic through the shared `load` driver — a
 //! sequential keep-alive phase, then a pipelined phase whose responses
 //! must match the sequential golden bodies — checks the serving
-//! contract (all 200s, byte-identical bodies, measured cache hits) and
+//! contract (all 200s, byte-identical bodies, measured cache hits),
+//! gates the forward p50 latency below [`MAX_FORWARD_P50_MS`] and
 //! writes the `/metrics` snapshot to `--metrics-out` for `trace_check`
 //! to validate.
 //!
@@ -13,6 +14,13 @@
 
 use actfort_bench::load::{run, LoadPlan, Shot};
 use actfort_serve::{start, Client, ServerConfig};
+
+/// Transport-floor gate: the forward p50 on `/v1/forward` must stay
+/// below this many milliseconds. A thread-per-connection server with
+/// split head/body writes once floored every request at ~44 ms
+/// (Nagle against delayed ACK); this bound keeps that floor from
+/// returning.
+const MAX_FORWARD_P50_MS: f64 = 10.0;
 
 fn main() {
     let mut metrics_out: Option<String> = None;
@@ -107,6 +115,22 @@ fn main() {
             "a pipelined response must match its sequential golden body"
         );
     }
+
+    // Phase 3: the latency gate, forward traffic only.
+    let forward = run(&LoadPlan {
+        addr: handle.addr(),
+        connections: 4,
+        requests_per_connection: 40,
+        pipeline: 1,
+        shots: shots.iter().filter(|s| s.path == "/v1/forward").cloned().collect(),
+    });
+    assert_eq!(forward.ok, forward.requests, "every gated forward request must succeed");
+    let p50_ms = forward.p50_ns as f64 / 1e6;
+    assert!(
+        p50_ms < MAX_FORWARD_P50_MS,
+        "latency gate: forward p50 {p50_ms:.3} ms exceeds {MAX_FORWARD_P50_MS} ms"
+    );
+    println!("serve_smoke: latency gate OK (forward p50 {p50_ms:.3} ms < {MAX_FORWARD_P50_MS} ms)");
 
     let mut client = Client::connect(handle.addr()).expect("connect for metrics");
     let metrics = client.get("/metrics").expect("fetch /metrics");

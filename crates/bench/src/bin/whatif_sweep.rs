@@ -16,8 +16,9 @@
 use actfort_bench::{splice_section, EXPERIMENT_SEED};
 use actfort_core::counter::{apply_all, Countermeasure, Patcher};
 use actfort_core::profile::AttackerProfile;
-use actfort_core::{obs, Prepared};
-use actfort_ecosystem::policy::Platform;
+use actfort_core::{obs, ForwardResult, Prepared};
+use actfort_ecosystem::policy::{EdgeClass, Platform};
+use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::paper_population;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,6 +34,13 @@ fn subsets() -> Vec<Vec<Countermeasure>> {
                 .collect()
         })
         .collect()
+}
+
+/// A cold recompile of `specs` plus one forward run: the baseline the
+/// patched sweep is checked and timed against.
+fn forward_cold(specs: &[ServiceSpec], ap: AttackerProfile) -> ForwardResult {
+    let p = Prepared::new(specs, Platform::Web, ap);
+    p.forward(&mut p.scratch(), EdgeClass::All, &[], true)
 }
 
 fn main() {
@@ -77,7 +85,15 @@ fn main() {
     let prepares_before = count("engine.prepares");
     let patched: Vec<_> = sets
         .iter()
-        .map(|set| base.forward_patched(&patcher.patch(set), &[], true))
+        .map(|set| {
+            base.forward_patched(
+                &mut base.scratch(),
+                &patcher.patch(set),
+                EdgeClass::All,
+                &[],
+                true,
+            )
+        })
         .collect();
     let prepares_during_sweep = count("engine.prepares") - prepares_before;
     let patches = count("engine.patches");
@@ -87,7 +103,7 @@ fn main() {
         "the patched sweep must not recompile the substrate (engine.prepares moved)"
     );
     for (set, fast) in sets.iter().zip(&patched) {
-        let cold = Prepared::new(&apply_all(&specs, set), Platform::Web, ap).forward(&[], true);
+        let cold = forward_cold(&apply_all(&specs, set), ap);
         assert_eq!(*fast, cold, "patched result diverged from cold recompile for {set:?}");
     }
     println!(
@@ -101,7 +117,7 @@ fn main() {
     // (every patch cached — the serve steady state).
     let cold_started = Instant::now();
     for set in &sets {
-        let result = Prepared::new(&apply_all(&specs, set), Platform::Web, ap).forward(&[], true);
+        let result = forward_cold(&apply_all(&specs, set), ap);
         std::hint::black_box(&result);
     }
     let cold_ns = cold_started.elapsed().as_nanos().max(1);
@@ -109,7 +125,8 @@ fn main() {
     let fresh = Patcher::new(Arc::clone(&base));
     let patched_cold_started = Instant::now();
     for set in &sets {
-        let result = base.forward_patched(&fresh.patch(set), &[], true);
+        let result =
+            base.forward_patched(&mut base.scratch(), &fresh.patch(set), EdgeClass::All, &[], true);
         std::hint::black_box(&result);
     }
     let patched_cold_ns = patched_cold_started.elapsed().as_nanos().max(1);
@@ -117,7 +134,8 @@ fn main() {
     let mut scratch = base.scratch();
     let warm_started = Instant::now();
     for set in &sets {
-        let result = base.forward_patched_with(&mut scratch, &fresh.patch(set), &[], true);
+        let result =
+            base.forward_patched(&mut scratch, &fresh.patch(set), EdgeClass::All, &[], true);
         std::hint::black_box(&result);
     }
     let warm_ns = warm_started.elapsed().as_nanos().max(1);

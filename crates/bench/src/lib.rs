@@ -76,8 +76,8 @@ pub fn init_trace() -> Option<std::path::PathBuf> {
 /// line, replacing an existing `"<key>"` line (preserving its trailing
 /// comma, so sections after it survive) or appending before the final
 /// brace; the result is re-parsed to prove it is still valid JSON.
-/// `section` must itself be single-line JSON. Shared by `loadgen` and
-/// `score_sweep` so neither splicer can corrupt the other's section.
+/// `section` must itself be single-line JSON. Shared by every bench bin
+/// that writes a section, so no splicer can corrupt another's section.
 ///
 /// # Panics
 ///

@@ -1,13 +1,12 @@
-//! Concurrent load driver for `actfort-serve`, shared by the `loadgen`
-//! bench bin and the `serve_smoke` CI bin.
+//! Concurrent load driver for `actfort-serve`, used by the
+//! `serve_smoke` CI bin.
 //!
 //! A [`LoadPlan`] names an address, a connection count and a request
 //! mix; [`run`] opens one keep-alive connection per thread, cycles each
 //! thread through the mix and folds every thread's observations into
-//! one [`LoadReport`]: throughput, latency quantiles, cache hit/miss
-//! split, shed (503) count and — the concurrency contract — whether
-//! every successful response to an identical request was
-//! byte-identical.
+//! one [`LoadReport`]: median latency, cache hit/miss split, shed (503)
+//! count and — the concurrency contract — whether every successful
+//! response to an identical request was byte-identical.
 
 use actfort_serve::Client;
 use std::collections::HashMap;
@@ -73,37 +72,10 @@ pub struct LoadReport {
     pub cache_hits: usize,
     /// `x-actfort-cache: miss` responses.
     pub cache_misses: usize,
-    /// Wall-clock duration of the whole run, nanoseconds.
-    pub wall_ns: u128,
     /// Median per-request latency, nanoseconds.
     pub p50_ns: u64,
-    /// 99th-percentile per-request latency, nanoseconds.
-    pub p99_ns: u64,
     /// Whether all `200` bodies for each identical shot were equal.
     pub byte_identical: bool,
-    /// Status and body of every response counted in `failed` (for
-    /// diagnosing unexpected statuses in harness assertions).
-    pub failures: Vec<(u16, String)>,
-}
-
-impl LoadReport {
-    /// Successful requests per second over the run's wall clock.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.ok as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Cache hit rate over classified responses (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let classified = self.cache_hits + self.cache_misses;
-        if classified == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / classified as f64
-        }
-    }
 }
 
 struct ThreadObservations {
@@ -114,7 +86,6 @@ struct ThreadObservations {
     cache_hits: usize,
     cache_misses: usize,
     bodies: HashMap<Shot, Vec<Vec<u8>>>,
-    failures: Vec<(u16, String)>,
 }
 
 /// Executes `plan` and aggregates the observations.
@@ -125,7 +96,6 @@ struct ThreadObservations {
 /// the transport level — load runs are driven against servers the
 /// caller just started, so transport failures are harness bugs.
 pub fn run(plan: &LoadPlan) -> LoadReport {
-    let started = Instant::now();
     let threads: Vec<_> = (0..plan.connections)
         .map(|t| {
             let addr = plan.addr;
@@ -142,7 +112,6 @@ pub fn run(plan: &LoadPlan) -> LoadReport {
                     cache_hits: 0,
                     cache_misses: 0,
                     bodies: HashMap::new(),
-                    failures: Vec::new(),
                 };
                 let mut issued = 0usize;
                 while issued < requests {
@@ -173,10 +142,7 @@ pub fn run(plan: &LoadPlan) -> LoadReport {
                                     .push(resp.body.clone());
                             }
                             503 => obs.shed += 1,
-                            status => {
-                                obs.failed += 1;
-                                obs.failures.push((status, resp.text().to_owned()));
-                            }
+                            _ => obs.failed += 1,
                         }
                         match resp.header("x-actfort-cache") {
                             Some("hit") => obs.cache_hits += 1,
@@ -199,11 +165,8 @@ pub fn run(plan: &LoadPlan) -> LoadReport {
         failed: 0,
         cache_hits: 0,
         cache_misses: 0,
-        wall_ns: 0,
         p50_ns: 0,
-        p99_ns: 0,
         byte_identical: true,
-        failures: Vec::new(),
     };
     let mut reference: HashMap<Shot, Vec<u8>> = HashMap::new();
     for thread in threads {
@@ -213,7 +176,6 @@ pub fn run(plan: &LoadPlan) -> LoadReport {
         report.failed += obs.failed;
         report.cache_hits += obs.cache_hits;
         report.cache_misses += obs.cache_misses;
-        report.failures.extend(obs.failures);
         latencies.extend(obs.latencies_ns);
         for (shot, bodies) in obs.bodies {
             for body in bodies {
@@ -224,10 +186,8 @@ pub fn run(plan: &LoadPlan) -> LoadReport {
             }
         }
     }
-    report.wall_ns = started.elapsed().as_nanos();
     latencies.sort_unstable();
     report.p50_ns = quantile(&latencies, 0.50);
-    report.p99_ns = quantile(&latencies, 0.99);
     report
 }
 

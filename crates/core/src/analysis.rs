@@ -54,17 +54,6 @@ impl ForwardResult {
     }
 }
 
-/// Population size (eligible services on the analysed platform) below
-/// which [`crate::query::Engine::Auto`] serves forward and score queries
-/// with the naive loop instead of the prepared substrate
-/// ([`crate::Prepared`]). `BENCH_forward.json` shows a cold prepared run
-/// (compilation included) is pure overhead on small populations (0.37×
-/// of naive at 44 services) and pays off from a couple hundred nodes up
-/// (22.5× at 201, 42.7× at 400); the crossover sits between those
-/// measurements. Both sides produce identical results (see the
-/// equivalence tests and `forward_crossover_is_result_invariant`).
-pub const NAIVE_CROSSOVER: usize = 50;
-
 /// The naive full-rescan fixed point behind
 /// [`crate::query::Engine::Naive`]: rescans every standing node against
 /// every class-admitted attack path each round and rebuilds provider
@@ -551,13 +540,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_crossover_is_result_invariant() {
+    fn forward_engines_agree_on_mixed_populations() {
         use actfort_ecosystem::synth::{generate, SynthConfig};
-        // Populations straddling NAIVE_CROSSOVER: whichever engine the
-        // dispatcher picks, results are identical field for field
+        // Truncated and synthetically extended curated populations: the
+        // prepared substrate and the naive loop agree field for field
         // (rounds, records, uncompromised, final pool).
         let ap = ap();
-        for n in [NAIVE_CROSSOVER - 1, NAIVE_CROSSOVER, NAIVE_CROSSOVER + 7] {
+        for n in [49, 50, 57] {
             let mut specs = specs();
             if n > specs.len() {
                 specs.extend(generate(n - specs.len(), 5, &SynthConfig::default()));
@@ -566,8 +555,12 @@ mod tests {
             }
             for platform in [Platform::Web, Platform::MobileApp] {
                 let naive = forward_naive(&specs, platform, &ap, &[]);
-                let auto = forward(&specs, platform, &ap, &[]);
-                assert_eq!(auto, naive, "n={n} {platform} dispatch");
+                let prepared = Analysis::over(&specs, platform, ap)
+                    .forward(&[])
+                    .engine(Engine::Prepared)
+                    .run()
+                    .unwrap();
+                assert_eq!(prepared, naive, "n={n} {platform}");
             }
         }
     }

@@ -34,7 +34,7 @@
 //!   A lookup is one array index and one integer compare, with no
 //!   factor lists cloned or ordered per query.
 //! - **Scratch reuse.** All mutable run state lives in
-//!   [`ForwardScratch`]; [`Prepared::forward_with`] clears and reuses
+//!   [`ForwardScratch`]; [`Prepared::forward`] clears and reuses
 //!   it, so a sweep of N seed sets allocates once, not N times.
 //!
 //! Results are byte-identical to the naive reference
@@ -324,7 +324,7 @@ impl RunState {
 }
 
 /// Reusable per-analysis mutable state. Create with
-/// [`Prepared::scratch`]; every [`Prepared::forward_with`] call clears
+/// [`Prepared::scratch`]; every [`Prepared::forward`] call clears
 /// and resizes it, so one scratch serves any number of runs (and any
 /// substrate).
 #[derive(Default)]
@@ -341,7 +341,7 @@ pub struct ForwardScratch {
 }
 
 impl ForwardScratch {
-    /// An empty scratch; [`Prepared::forward_with`] sizes it on use.
+    /// An empty scratch; [`Prepared::forward`] sizes it on use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -586,26 +586,12 @@ impl Prepared {
         s
     }
 
-    /// The forward fixed point on this substrate, with a fresh scratch.
-    /// Result is byte-identical to the naive reference.
-    pub fn forward(&self, seeds: &[ServiceId], memo_enabled: bool) -> ForwardResult {
-        self.forward_with(&mut self.scratch(), seeds, memo_enabled)
-    }
-
-    /// [`Self::forward`] restricted to one edge class: only
-    /// class-admitted compiled paths can satisfy a node.
-    /// [`EdgeClass::All`] is byte-identical to [`Self::forward`].
-    pub fn forward_in(
-        &self,
-        class: EdgeClass,
-        seeds: &[ServiceId],
-        memo_enabled: bool,
-    ) -> ForwardResult {
-        self.forward_in_with(&mut self.scratch(), class, seeds, memo_enabled)
-    }
-
-    /// [`Self::forward_in`] reusing caller-owned scratch buffers.
-    pub fn forward_in_with(
+    /// The forward fixed point on this substrate, byte-identical to the
+    /// naive reference. Only `class`-admitted compiled paths can satisfy
+    /// a node ([`EdgeClass::All`] is the unfiltered query). `scratch` is
+    /// caller-owned so a batch sweep can share one substrate via `Arc`
+    /// and keep one scratch per worker thread.
+    pub fn forward(
         &self,
         scratch: &mut ForwardScratch,
         class: EdgeClass,
@@ -632,18 +618,6 @@ impl Prepared {
         s.memo.resize(pathsets, (GEN_NONE, 0));
         s.newly.clear();
         s.candidates.clear();
-    }
-
-    /// [`Self::forward`] reusing caller-owned scratch buffers — the
-    /// batch-sweep fast path: one substrate shared via `Arc`, one
-    /// scratch per worker thread.
-    pub fn forward_with(
-        &self,
-        scratch: &mut ForwardScratch,
-        seeds: &[ServiceId],
-        memo_enabled: bool,
-    ) -> ForwardResult {
-        self.forward_inner(scratch, seeds, memo_enabled, None, None, EdgeClass::All)
     }
 
     /// Compiles a [`SubstratePatch`] from `rewrites`: `(node id,
@@ -792,32 +766,12 @@ impl Prepared {
     /// the base. Byte-identical to compiling the patched population from
     /// scratch and running [`Self::forward`] — pinned by the whatif
     /// equivalence suite — at a cost proportional to the blast radius.
+    /// `class` filters paths as in [`Self::forward`].
     ///
     /// # Panics
     ///
     /// If `patch` was compiled against a different substrate.
     pub fn forward_patched(
-        &self,
-        patch: &SubstratePatch,
-        seeds: &[ServiceId],
-        memo_enabled: bool,
-    ) -> ForwardResult {
-        self.forward_patched_with(&mut self.scratch(), patch, seeds, memo_enabled)
-    }
-
-    /// [`Self::forward_patched`] reusing caller-owned scratch buffers.
-    pub fn forward_patched_with(
-        &self,
-        scratch: &mut ForwardScratch,
-        patch: &SubstratePatch,
-        seeds: &[ServiceId],
-        memo_enabled: bool,
-    ) -> ForwardResult {
-        self.forward_patched_in_with(scratch, patch, EdgeClass::All, seeds, memo_enabled)
-    }
-
-    /// [`Self::forward_patched_with`] restricted to one edge class.
-    pub fn forward_patched_in_with(
         &self,
         scratch: &mut ForwardScratch,
         patch: &SubstratePatch,
@@ -873,7 +827,8 @@ impl Prepared {
     /// active only when every one of its original factor kinds is
     /// *enabled* by the user. A full overlay (every service held, every
     /// factor enabled) reproduces [`Self::forward`] exactly — pinned by
-    /// the scalar-degenerate regression tests.
+    /// the scalar-degenerate regression tests. `class` filters paths as
+    /// in [`Self::forward`].
     ///
     /// This is the one-user-at-a-time *reference* the 64-lane sweep in
     /// [`crate::score`] is property-tested against. The cross-round
@@ -881,22 +836,7 @@ impl Prepared {
     /// which paths the overlay deactivated, so two nodes sharing a
     /// pathset id may have different active subsets under the same
     /// overlay.
-    pub fn forward_overlay(&self, overlay: &UserOverlay) -> ForwardResult {
-        self.forward_overlay_with(&mut self.scratch(), overlay)
-    }
-
-    /// [`Self::forward_overlay`] reusing caller-owned scratch buffers.
-    pub fn forward_overlay_with(
-        &self,
-        scratch: &mut ForwardScratch,
-        overlay: &UserOverlay,
-    ) -> ForwardResult {
-        self.forward_inner(scratch, &[], false, Some(overlay), None, EdgeClass::All)
-    }
-
-    /// [`Self::forward_overlay_with`] restricted to one edge class —
-    /// the scalar reference for class-filtered lane scoring.
-    pub fn forward_overlay_in_with(
+    pub fn forward_overlay(
         &self,
         scratch: &mut ForwardScratch,
         overlay: &UserOverlay,
@@ -1348,7 +1288,7 @@ mod tests {
         let naive = forward_naive_impl(specs, platform, ap, seeds, EdgeClass::All);
         let prepared = Prepared::new(specs, platform, *ap);
         for memo in [true, false] {
-            let got = prepared.forward(seeds, memo);
+            let got = prepared.forward(&mut prepared.scratch(), EdgeClass::All, seeds, memo);
             assert_eq!(naive, got, "{platform} memo={memo}");
         }
     }
@@ -1386,8 +1326,8 @@ mod tests {
             vec![],
         ];
         for seeds in &seed_sets {
-            let reused = prepared.forward_with(&mut scratch, seeds, true);
-            let fresh = prepared.forward(seeds, true);
+            let reused = prepared.forward(&mut scratch, EdgeClass::All, seeds, true);
+            let fresh = prepared.forward(&mut prepared.scratch(), EdgeClass::All, seeds, true);
             assert_eq!(reused, fresh, "seeds={seeds:?}");
         }
     }
@@ -1425,7 +1365,8 @@ mod tests {
         ];
         let ap = AttackerProfile::paper_default();
         assert_equivalent(&specs, Platform::Web, &ap, &[]);
-        let r = Prepared::new(&specs, Platform::Web, ap).forward(&[], true);
+        let p = Prepared::new(&specs, Platform::Web, ap);
+        let r = p.forward(&mut p.scratch(), EdgeClass::All, &[], true);
         let rec = |id: &str| *r.records.get(&id.into()).unwrap_or_else(|| panic!("{id} falls"));
         assert_eq!(rec("registry"), CompromiseRecord { round: 2, min_providers: 2 });
         assert_eq!(rec("vault"), CompromiseRecord { round: 3, min_providers: 1 });
@@ -1442,7 +1383,7 @@ mod tests {
         let misses = obs::counter("engine.minprov_memo_misses");
         let (h0, m0) = (hits.get(), misses.get());
         obs::set_enabled(true);
-        prepared.forward(&[], true);
+        prepared.forward(&mut prepared.scratch(), EdgeClass::All, &[], true);
         obs::set_enabled(false);
         assert!(hits.get() > h0, "archetype cohorts should share memo entries");
         assert!(misses.get() > m0, "first member of each cohort misses");

@@ -3,10 +3,9 @@
 //! [`Analysis`] is the single builder every analysis goes through:
 //! pick a *source* (a built [`Tdg`] or raw specs), a *direction*
 //! (forward seeds or a backward target), then tune knobs and `run()`.
-//! Engine selection is explicit ([`Engine`]); [`Engine::Auto`] picks by
-//! population size, through one rule per direction
-//! ([`NAIVE_CROSSOVER`] for forward and score, [`BACKWARD_CROSSOVER`]
-//! for backward).
+//! Engine selection is explicit ([`Engine`]). [`Engine::Auto`] is the
+//! production engine for forward and score queries; backward queries
+//! keep one measured size dispatch at [`BACKWARD_CROSSOVER`].
 //!
 //! Every query accepts an [`EdgeClass`] filter (default
 //! [`EdgeClass::All`], which is byte-identical to the unfiltered
@@ -37,7 +36,7 @@
 //! let chains = Analysis::of(&tdg).backward(&"alipay".into()).max_chains(4).run().unwrap();
 //! assert!(!chains.is_empty());
 //!
-//! // Explicit engine selection replaces the implicit crossover.
+//! // The naive reference oracle is one knob away.
 //! let naive = Analysis::over(&specs, Platform::Web, ap)
 //!     .forward(&[])
 //!     .engine(Engine::Naive)
@@ -53,7 +52,7 @@
 
 use crate::analysis::{
     backward_chains_naive_budget, forward_naive_impl, AttackChain, ForwardResult,
-    MAX_BACKWARD_PARTIALS, NAIVE_CROSSOVER,
+    MAX_BACKWARD_PARTIALS,
 };
 use crate::backward::BackwardEngine;
 use crate::batch::BatchAnalyzer;
@@ -72,7 +71,7 @@ use std::borrow::Cow;
 
 /// Population size (eligible services) below which [`Engine::Auto`]
 /// serves *backward* queries with the naive BFS instead of the
-/// best-first engine — the backward mirror of [`NAIVE_CROSSOVER`].
+/// best-first engine.
 ///
 /// `BENCH_forward.json` shows the engine's build + heap machinery is
 /// pure overhead on the measured small-to-mid graphs (0.72× vs naive at
@@ -93,10 +92,10 @@ pub const BACKWARD_CROSSOVER: usize = 210;
 /// (property tested); only the work schedule differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Population-size dispatch: the naive reference below the
-    /// direction's crossover ([`NAIVE_CROSSOVER`] eligible services for
-    /// forward and score, [`BACKWARD_CROSSOVER`] for backward), the
-    /// production engine at or above it.
+    /// The production engine for forward and score queries, at every
+    /// population size. Backward queries dispatch by size: the naive
+    /// BFS below [`BACKWARD_CROSSOVER`] eligible services, the
+    /// best-first engine at or above it.
     #[default]
     Auto,
     /// The production engine. Forward and score queries run on the
@@ -104,8 +103,9 @@ pub enum Engine {
     /// population once into bitset/integer-coded form, then run the
     /// fixed point on scratch buffers (score queries take the 64-lane
     /// schedule). Backward queries run the best-first arena
-    /// [`BackwardEngine`]. Explicit selection forces it even on small
-    /// populations.
+    /// [`BackwardEngine`]. For forward and score queries this is what
+    /// [`Engine::Auto`] runs; for backward queries explicit selection
+    /// forces the best-first engine below [`BACKWARD_CROSSOVER`] too.
     Prepared,
     /// The reference implementation: full-rescan fixed point for
     /// forward, the scalar one-user-at-a-time loop for score,
@@ -173,21 +173,17 @@ impl Source<'_> {
         }
     }
 
-    /// Whether the prepared substrate serves `engine` on this source —
-    /// the one naive-versus-prepared rule for forward and score
-    /// queries: forced by [`Engine::Prepared`], refused by
-    /// [`Engine::Naive`], picked by [`Engine::Auto`] at or above
-    /// [`NAIVE_CROSSOVER`] eligible services.
-    fn serves_prepared(&self, engine: Engine) -> bool {
-        match engine {
-            Engine::Prepared => true,
-            Engine::Naive => false,
-            Engine::Auto => self.eligible() >= NAIVE_CROSSOVER,
+    /// The dependency graph: a graph source borrows itself, a raw
+    /// source builds one here.
+    fn graph(&self) -> Cow<'_, Tdg> {
+        match self {
+            Source::Graph(tdg) => Cow::Borrowed(*tdg),
+            Source::Raw { specs, platform, ap } => Cow::Owned(Tdg::build(specs, *platform, *ap)),
         }
     }
 
     /// Number of services eligible on the analysed platform — the input
-    /// to both crossover dispatches. (A graph source is already
+    /// to the backward size dispatch. (A graph source is already
     /// platform-filtered.)
     fn eligible(&self) -> usize {
         match self {
@@ -347,9 +343,10 @@ impl<'a> ForwardQuery<'a> {
     }
 
     fn dispatch(&self, seeds: &[ServiceId]) -> ForwardResult {
-        if self.source.serves_prepared(self.engine) {
+        if self.engine != Engine::Naive {
             obs::add("analysis.dispatch_prepared", 1);
-            self.source.with_substrate(|p| p.forward_in(self.class, seeds, self.memo))
+            self.source
+                .with_substrate(|p| p.forward(&mut p.scratch(), self.class, seeds, self.memo))
         } else {
             obs::add("analysis.dispatch_naive", 1);
             let ap = self.source.profile();
@@ -387,7 +384,7 @@ impl<'a> ForwardQuery<'a> {
             None => BatchAnalyzer::from_env()?,
         };
         let _span = self.trace.map(obs::span);
-        if self.source.serves_prepared(self.engine) {
+        if self.engine != Engine::Naive {
             return Ok(self.source.with_substrate(|prepared| {
                 analyzer.run_with(
                     seed_sets,
@@ -395,7 +392,7 @@ impl<'a> ForwardQuery<'a> {
                     |scratch, set| {
                         obs::add("analysis.dispatch_prepared", 1);
                         let seeds = self.with_query_seeds(set);
-                        prepared.forward_in_with(scratch, self.class, &seeds, self.memo)
+                        prepared.forward(scratch, self.class, &seeds, self.memo)
                     },
                 )
             }));
@@ -417,11 +414,10 @@ impl<'a> ForwardQuery<'a> {
 /// [`Analysis::score_users`].
 ///
 /// Both engines run on the prepared substrate (overlays only exist
-/// there); the knob selects the *schedule* by the same rule as forward
-/// queries: the 64-lane bit-parallel sweep ([`Engine::Prepared`], or
-/// [`Engine::Auto`] at/above [`NAIVE_CROSSOVER`]) versus the scalar
-/// one-user-at-a-time reference loop ([`Engine::Naive`], or Auto below
-/// it). Results are schedule-independent (property tested).
+/// there); the knob selects the *schedule*: the 64-lane bit-parallel
+/// sweep ([`Engine::Auto`], [`Engine::Prepared`]) versus the scalar
+/// one-user-at-a-time reference loop ([`Engine::Naive`]). Results are
+/// schedule-independent (property tested).
 pub struct ScoreQuery<'a> {
     source: Source<'a>,
     profiles: &'a [UserProfile],
@@ -466,18 +462,16 @@ impl<'a> ScoreQuery<'a> {
                 .iter()
                 .map(|u| prepared.overlay(&u.services, u.factors))
                 .collect();
-            // Below the crossover the transpose overhead outweighs the
-            // lane win on tiny populations.
-            if self.source.serves_prepared(self.engine) {
+            if self.engine != Engine::Naive {
                 obs::add("analysis.dispatch_score", 1);
                 let mut scratch = prepared.overlay_scratch();
-                prepared.score_users_in(&overlays, &mut scratch, self.class)
+                prepared.score_users(&overlays, &mut scratch, self.class)
             } else {
                 obs::add("analysis.dispatch_score_scalar", 1);
                 let mut scratch = prepared.scratch();
                 overlays
                     .iter()
-                    .map(|ov| prepared.score_one_in(ov, &mut scratch, self.class))
+                    .map(|ov| prepared.score_one(ov, &mut scratch, self.class))
                     .collect()
             }
         }))
@@ -564,18 +558,6 @@ impl<'a> BackwardQuery<'a> {
     /// top-`max_chains` too — membership can be decided from the two
     /// truncated lists alone.
     pub fn run_bounded(&self) -> Result<(Vec<AttackChain>, bool), Error> {
-        if self.class == EdgeClass::RecoveryOnly {
-            let (all, ex_all) = self.run_bounded_in(EdgeClass::All)?;
-            let (login, ex_login) = self.run_bounded_in(EdgeClass::LoginOnly)?;
-            let chains = all.into_iter().filter(|c| !login.contains(c)).collect();
-            return Ok((chains, ex_all && ex_login));
-        }
-        self.run_bounded_in(self.class)
-    }
-
-    /// The single-class search behind [`Self::run_bounded`]; accepts
-    /// only the two classes the engines materialise.
-    fn run_bounded_in(&self, class: EdgeClass) -> Result<(Vec<AttackChain>, bool), Error> {
         if !self.source.knows(self.target) {
             return Err(Error::UnknownService(self.target.to_string()));
         }
@@ -583,11 +565,17 @@ impl<'a> BackwardQuery<'a> {
             return Err(Error::Query("backward budget must be positive".into()));
         }
         let budget = self.budget.unwrap_or(MAX_BACKWARD_PARTIALS);
+        Ok(recovery_difference(self.class, |class| self.search(class, budget)))
+    }
+
+    /// The single-class search behind [`Self::run_bounded`]; accepts
+    /// only the two classes the engines materialise.
+    fn search(&self, class: EdgeClass, budget: usize) -> (Vec<AttackChain>, bool) {
         let _span = self.trace.map(obs::span);
         if let Some(engine) = self.via {
-            return Ok(engine.chains_bounded_in(self.target, self.max_chains, budget, class));
+            return engine.chains_bounded_in(self.target, self.max_chains, budget, class);
         }
-        // Auto mirrors the forward crossover: naive BFS below
+        // Auto dispatches by size: naive BFS below
         // [`BACKWARD_CROSSOVER`] eligible services (the best-first
         // engine's build is pure overhead there), the arena engine at or
         // above it (where the naive clone-per-partial BFS blows up).
@@ -602,29 +590,35 @@ impl<'a> BackwardQuery<'a> {
             }
             explicit => explicit,
         };
+        let tdg = self.source.graph();
         match engine {
             Engine::Naive => {
-                let owned;
-                let tdg = match &self.source {
-                    Source::Graph(tdg) => *tdg,
-                    Source::Raw { specs, platform, ap } => {
-                        owned = Tdg::build(specs, *platform, *ap);
-                        &owned
-                    }
-                };
-                Ok(backward_chains_naive_budget(tdg, self.target, self.max_chains, budget, class))
+                backward_chains_naive_budget(&tdg, self.target, self.max_chains, budget, class)
             }
-            Engine::Auto | Engine::Prepared => {
-                let engine = match &self.source {
-                    Source::Graph(tdg) => BackwardEngine::new(tdg),
-                    Source::Raw { specs, platform, ap } => {
-                        BackwardEngine::new(&Tdg::build(specs, *platform, *ap))
-                    }
-                };
-                Ok(engine.chains_bounded_in(self.target, self.max_chains, budget, class))
-            }
+            Engine::Auto | Engine::Prepared => BackwardEngine::new(&tdg).chains_bounded_in(
+                self.target,
+                self.max_chains,
+                budget,
+                class,
+            ),
         }
     }
+}
+
+/// Answers `class` through `search`, a single-class chain search that
+/// reports whether it was exhaustive. [`EdgeClass::RecoveryOnly`] is
+/// the canonical difference `chains(All) ∖ chains(LoginOnly)`; every
+/// other class is searched directly.
+fn recovery_difference(
+    class: EdgeClass,
+    mut search: impl FnMut(EdgeClass) -> (Vec<AttackChain>, bool),
+) -> (Vec<AttackChain>, bool) {
+    if class != EdgeClass::RecoveryOnly {
+        return search(class);
+    }
+    let (all, ex_all) = search(EdgeClass::All);
+    let (login, ex_login) = search(EdgeClass::LoginOnly);
+    (all.into_iter().filter(|c| !login.contains(c)).collect(), ex_all && ex_login)
 }
 
 /// The answer of a what-if query: the population's depth breakdown
@@ -746,15 +740,10 @@ impl<'a> WhatifQuery<'a> {
         obs::add("analysis.dispatch_whatif", 1);
         let base = patcher.base();
         let total = base.node_count();
-        let before_result = base.forward_in(self.class, &[], true);
+        let mut scratch = base.scratch();
+        let before_result = base.forward(&mut scratch, self.class, &[], true);
         let patch = patcher.patch(&set);
-        let after_result = base.forward_patched_in_with(
-            &mut base.scratch(),
-            &patch,
-            self.class,
-            &[],
-            true,
-        );
+        let after_result = base.forward_patched(&mut scratch, &patch, self.class, &[], true);
         let before = breakdown_of(&before_result, total);
         let after = breakdown_of(&after_result, total);
         // BTreeMap keys iterate in id order, so `protected` is sorted.
@@ -770,47 +759,20 @@ impl<'a> WhatifQuery<'a> {
             let engine = match self.backward_via {
                 Some(e) => e,
                 None => {
-                    owned_engine = match &self.source {
-                        Source::Graph(tdg) => BackwardEngine::new(tdg),
-                        Source::Raw { specs, platform, ap } => {
-                            BackwardEngine::new(&Tdg::build(specs, *platform, *ap))
-                        }
-                    };
+                    owned_engine = BackwardEngine::new(&self.source.graph());
                     &owned_engine
                 }
             };
             let chains_for = |target: &ServiceId| -> Vec<AttackChain> {
-                match self.class {
-                    EdgeClass::RecoveryOnly => {
-                        let all = engine
-                            .chains_bounded_in(
-                                target,
-                                self.chains_per_target,
-                                MAX_BACKWARD_PARTIALS,
-                                EdgeClass::All,
-                            )
-                            .0;
-                        let login = engine
-                            .chains_bounded_in(
-                                target,
-                                self.chains_per_target,
-                                MAX_BACKWARD_PARTIALS,
-                                EdgeClass::LoginOnly,
-                            )
-                            .0;
-                        all.into_iter().filter(|c| !login.contains(c)).collect()
-                    }
-                    class => {
-                        engine
-                            .chains_bounded_in(
-                                target,
-                                self.chains_per_target,
-                                MAX_BACKWARD_PARTIALS,
-                                class,
-                            )
-                            .0
-                    }
-                }
+                recovery_difference(self.class, |class| {
+                    engine.chains_bounded_in(
+                        target,
+                        self.chains_per_target,
+                        MAX_BACKWARD_PARTIALS,
+                        class,
+                    )
+                })
+                .0
             };
             'targets: for target in &protected {
                 for chain in chains_for(target) {

@@ -298,36 +298,23 @@ impl Prepared {
         s
     }
 
-    /// Scores one user through the scalar overlay fixed point — the
-    /// reference the lane sweep is tested against.
-    pub fn score_one(&self, overlay: &UserOverlay, scratch: &mut ForwardScratch) -> UserScore {
-        UserScore::of(&self.forward_overlay_with(scratch, overlay))
-    }
-
-    /// [`Prepared::score_one`] restricted to one edge class.
-    pub fn score_one_in(
+    /// Scores one user through the scalar overlay fixed point
+    /// restricted to `class` — the reference the lane sweep is tested
+    /// against.
+    pub fn score_one(
         &self,
         overlay: &UserOverlay,
         scratch: &mut ForwardScratch,
         class: EdgeClass,
     ) -> UserScore {
-        UserScore::of(&self.forward_overlay_in_with(scratch, overlay, class))
+        UserScore::of(&self.forward_overlay(scratch, overlay, class))
     }
 
     /// Scores a batch of users, 64 lanes per sweep, results in input
-    /// order. Byte-identical to [`Prepared::score_one`] per user
+    /// order. Paths outside `class` never activate in any lane.
+    /// Byte-identical to [`Prepared::score_one`] per user
     /// (property-tested, ragged batches included).
     pub fn score_users(
-        &self,
-        overlays: &[UserOverlay],
-        scratch: &mut OverlayScratch,
-    ) -> Vec<UserScore> {
-        self.score_users_in(overlays, scratch, EdgeClass::All)
-    }
-
-    /// [`Prepared::score_users`] restricted to one edge class: paths
-    /// outside the class never activate in any lane.
-    pub fn score_users_in(
         &self,
         overlays: &[UserOverlay],
         scratch: &mut OverlayScratch,
@@ -562,13 +549,13 @@ mod tests {
         let mut scratch = p.overlay_scratch();
         let empty = p.overlay(&[], OverlayFactor::ALL);
         let full = p.overlay_all(OverlayFactor::ALL);
-        let scores = p.score_users(&[empty, full.clone()], &mut scratch);
+        let scores = p.score_users(&[empty, full.clone()], &mut scratch, EdgeClass::All);
         assert_eq!(scores[0], UserScore { blast_radius: 0, weakest_chain: 0 });
-        let reference = UserScore::of(&p.forward(&[], true));
+        let reference = UserScore::of(&p.forward(&mut p.scratch(), EdgeClass::All, &[], true));
         assert_eq!(scores[1], reference);
         // The scalar overlay path agrees with both.
         let mut fs = p.scratch();
-        assert_eq!(p.score_one(&full, &mut fs), reference);
+        assert_eq!(p.score_one(&full, &mut fs, EdgeClass::All), reference);
     }
 
     #[test]
@@ -578,7 +565,7 @@ mod tests {
         let full = p.overlay_all(OverlayFactor::ALL);
         let no_sms = p.overlay_all(OverlayFactor::ALL & !OverlayFactor::SMS_CODE);
         let none = p.overlay_all(0);
-        let scores = p.score_users(&[full, no_sms, none], &mut scratch);
+        let scores = p.score_users(&[full, no_sms, none], &mut scratch, EdgeClass::All);
         assert!(scores[1].blast_radius <= scores[0].blast_radius);
         assert_eq!(
             scores[2],
@@ -591,7 +578,8 @@ mod tests {
                 .into_iter()
                 .enumerate()
         {
-            assert_eq!(scores[i], p.score_one(&p.overlay_all(factors), &mut fs), "lane {i}");
+            let scalar = p.score_one(&p.overlay_all(factors), &mut fs, EdgeClass::All);
+            assert_eq!(scores[i], scalar, "lane {i}");
         }
     }
 }

@@ -13,9 +13,6 @@ use std::fmt::Write as _;
 /// The query engine over one ecosystem snapshot.
 #[derive(Debug)]
 pub struct StrategyEngine {
-    specs: Vec<ServiceSpec>,
-    platform: Platform,
-    ap: AttackerProfile,
     tdg: Tdg,
     backward: BackwardEngine,
 }
@@ -26,7 +23,7 @@ impl StrategyEngine {
     pub fn new(specs: Vec<ServiceSpec>, platform: Platform, ap: AttackerProfile) -> Self {
         let tdg = Tdg::build(&specs, platform, ap);
         let backward = BackwardEngine::new(&tdg);
-        Self { specs, platform, ap, tdg, backward }
+        Self { tdg, backward }
     }
 
     /// The underlying dependency graph.
@@ -36,16 +33,17 @@ impl StrategyEngine {
 
     /// The analysed platform.
     pub fn platform(&self) -> Platform {
-        self.platform
+        self.tdg.platform()
     }
 
     /// Query 1 — forward: given already-compromised accounts (OAAS),
     /// return everything that falls (PAV). Seeds naming no service in
-    /// the snapshot are ignored.
+    /// the snapshot, or one not on its platform, are ignored. Served by
+    /// the graph's own substrate, so no query compiles a new one.
     pub fn potential_victims(&self, seeds: &[ServiceId]) -> ForwardResult {
         let known: Vec<ServiceId> =
-            seeds.iter().filter(|id| self.specs.iter().any(|s| &s.id == *id)).cloned().collect();
-        Analysis::over(&self.specs, self.platform, self.ap)
+            seeds.iter().filter(|id| self.tdg.index_of(id).is_some()).cloned().collect();
+        Analysis::of(&self.tdg)
             .forward(&known)
             .run()
             .expect("unknown seeds were filtered out")

@@ -67,11 +67,12 @@ fn obs_counters_sum_consistently_under_sharding() {
     };
 
     let serial = run(1);
+    assert!(serial.counters.contains_key("analysis.dispatch_prepared"), "sweep was recorded");
     for threads in [2, 8] {
         let sharded = run(threads);
         // The same work is done, just split over more workers: every
         // engine/analysis counter must total identically.
-        for key in ["engine.batch.runs", "engine.batch.items", "naive.rounds", "naive.nodes_evaluated", "analysis.dispatch_naive"] {
+        for key in ["engine.batch.runs", "engine.batch.items", "engine.rounds", "engine.nodes_evaluated", "analysis.dispatch_prepared"] {
             assert_eq!(
                 serial.counters.get(key),
                 sharded.counters.get(key),
@@ -87,7 +88,7 @@ fn obs_counters_sum_consistently_under_sharding() {
                 .map(|(_, stat)| stat.count)
                 .sum::<u64>()
         };
-        for name in ["forward.naive", "batch.run"] {
+        for name in ["forward.prepared", "batch.run"] {
             assert_eq!(
                 count_of(&serial, name),
                 count_of(&sharded, name),

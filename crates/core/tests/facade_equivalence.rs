@@ -13,8 +13,7 @@ use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, SynthConfig};
 
-/// Curated cores plus synthetic tail: big enough (> NAIVE_CROSSOVER) to
-/// exercise the prepared side of the Auto dispatch too.
+/// Curated cores plus a synthetic tail.
 fn population() -> Vec<ServiceSpec> {
     let mut specs = curated_services();
     specs.extend(generate(30, 11, &SynthConfig::default()));

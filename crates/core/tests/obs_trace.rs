@@ -76,8 +76,8 @@ fn sweep_counters_agree_with_the_result() {
     let span_count =
         |path: &str| snap.spans.get(path).map(|s| s.count).expect("span path present");
 
-    // 201 services is far past NAIVE_CROSSOVER: one substrate
-    // compilation, one prepared run.
+    // Auto serves the prepared substrate: one compilation, one
+    // prepared run.
     assert_eq!(c("analysis.dispatch_prepared"), 1);
     assert_eq!(c("analysis.dispatch_naive"), 0);
     assert_eq!(c("engine.prepares"), 1);
@@ -129,8 +129,8 @@ fn score_batch_dispatches_once_and_never_reprepares_per_user() {
     assert_eq!(scores.len(), 150);
 
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    // 201 services is past the crossover: Auto serves the lane engine,
-    // exactly once for the whole batch, and the substrate is compiled
+    // Auto serves the lane engine, exactly once for the whole batch,
+    // and the substrate is compiled
     // once — NOT once per user. (The prepare-per-user regression this
     // pins would read 150 here.)
     assert_eq!(c("analysis.dispatch_score"), 1);
@@ -162,8 +162,7 @@ fn score_batch_dispatches_once_and_never_reprepares_per_user() {
     assert_eq!(c("analysis.dispatch_score_scalar"), 1);
     assert_eq!(c("engine.prepares"), 1, "scalar schedule also compiles once per batch");
 
-    // Below the crossover Auto picks the scalar schedule (transpose
-    // overhead dominates on tiny populations).
+    // Auto picks the lane schedule on the small curated population too.
     let curated = curated_services();
     obs::reset();
     obs::set_enabled(true);
@@ -175,8 +174,29 @@ fn score_batch_dispatches_once_and_never_reprepares_per_user() {
     let snap = obs::snapshot();
     obs::reset();
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    assert_eq!(c("analysis.dispatch_score"), 0);
-    assert_eq!(c("analysis.dispatch_score_scalar"), 1);
+    assert_eq!(c("analysis.dispatch_score"), 1);
+    assert_eq!(c("analysis.dispatch_score_scalar"), 0);
+}
+
+#[test]
+fn strategy_forward_queries_reuse_the_graph_substrate() {
+    let _g = obs_lock();
+    let specs = paper_population(SEED);
+    let engine = actfort_core::StrategyEngine::new(
+        specs.clone(),
+        Platform::Web,
+        AttackerProfile::paper_default(),
+    );
+    obs::reset();
+    obs::set_enabled(true);
+    engine.potential_victims(&[]);
+    engine.potential_victims(&[specs[0].id.clone()]);
+    engine.potential_victims(&["not-a-service".into()]);
+    obs::set_enabled(false);
+    let snap = obs::snapshot();
+    obs::reset();
+    let prepares = snap.counters.get("engine.prepares").copied().unwrap_or(0);
+    assert_eq!(prepares, 0, "forward queries must run on the engine's own graph");
 }
 
 #[test]
@@ -238,13 +258,14 @@ fn campaign_span_tree_shape_is_pinned() {
         vec![
             "campaign.assess",
             "campaign.assess/campaign.cascade",
-            "campaign.assess/campaign.cascade/forward.naive",
+            "campaign.assess/campaign.cascade/forward.prepared",
+            "campaign.assess/campaign.cascade/forward.prepared/absorb",
+            "campaign.assess/campaign.cascade/forward.prepared/evaluate",
+            "campaign.assess/campaign.cascade/forward.prepared/min_providers",
+            "campaign.assess/campaign.cascade/prepare",
             "campaign.assess/campaign.score",
-            "campaign.assess/campaign.score/forward.prepared",
-            "campaign.assess/campaign.score/forward.prepared/absorb",
-            "campaign.assess/campaign.score/forward.prepared/evaluate",
-            "campaign.assess/campaign.score/forward.prepared/min_providers",
             "campaign.assess/campaign.score/prepare",
+            "campaign.assess/campaign.score/score.lanes",
             "gsm.campaign.run",
         ],
         "campaign span tree changed shape"
@@ -255,12 +276,13 @@ fn campaign_span_tree_shape_is_pinned() {
     assert_eq!(c("gsm.campaign.frames"), report.totals.frames);
     assert_eq!(c("gsm.campaign.interceptions"), report.interceptions.len() as u64);
     assert_eq!(c("gsm.campaign.captures"), report.totals.captures);
-    // One victim batch, scored scalar below the crossover; one prepare
-    // for the whole batch (never per victim).
+    // One victim batch on the lane engine with one prepare for the
+    // whole batch (never per victim), plus one prepare and one run for
+    // the cascade.
     assert_eq!(c("campaign.victims_scored"), report.compromised.len() as u64);
-    assert_eq!(c("analysis.dispatch_score_scalar"), 1);
-    assert_eq!(c("engine.prepares"), 1, "one substrate compile for the victim batch");
-    assert_eq!(c("engine.runs"), report.compromised.len() as u64);
+    assert_eq!(c("analysis.dispatch_score"), 1);
+    assert_eq!(c("engine.prepares"), 2, "one compile for the victim batch, one for the cascade");
+    assert_eq!(c("engine.runs"), 1);
 
     // Same seed, same trace: the deterministic JSON is byte-identical.
     let (_, again) = traced_campaign();

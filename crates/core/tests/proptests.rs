@@ -9,7 +9,7 @@ use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
 use actfort_core::{Prepared, Tdg};
 use actfort_ecosystem::factor::ServiceId;
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, SynthConfig};
 use proptest::prelude::*;
@@ -277,7 +277,7 @@ proptest! {
         for seeds in &seed_sets {
             let naive = forward_naive(&specs, platform, &ap, seeds);
             for memo in [true, false] {
-                let fast = prepared.forward_with(&mut scratch, seeds, memo);
+                let fast = prepared.forward(&mut scratch, EdgeClass::All, seeds, memo);
                 prop_assert_eq!(
                     &fast, &naive,
                     "substrate diverged from naive (seeds {:?}, memo {})",

@@ -10,7 +10,7 @@ use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
 use actfort_core::{OverlayFactor, Prepared, UserProfile, UserScore};
 use actfort_ecosystem::factor::ServiceId;
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, paper_population, SynthConfig};
 use proptest::prelude::*;
@@ -132,9 +132,9 @@ proptest! {
                 .iter()
                 .map(|p| prepared.overlay(&p.services, p.factors))
                 .collect();
-            let lanes = prepared.score_users(&overlays, &mut lane_scratch);
+            let lanes = prepared.score_users(&overlays, &mut lane_scratch, EdgeClass::All);
             for (i, overlay) in overlays.iter().enumerate() {
-                let want = prepared.score_one(overlay, &mut scalar_scratch);
+                let want = prepared.score_one(overlay, &mut scalar_scratch, EdgeClass::All);
                 prop_assert_eq!(lanes[i], want, "lane {} diverged (batch {})", i, batch);
             }
         }

@@ -25,7 +25,7 @@ use actfort_core::counter::{self, apply_all, Countermeasure, Patcher};
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::Analysis;
 use actfort_core::{obs, Prepared, Tdg};
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, SynthConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -68,9 +68,10 @@ fn patched_forward_equals_cold_recompile_for_every_subset() {
             let base = patcher.base();
             for subset in subsets() {
                 let patch = patcher.patch(&subset);
-                let patched = base.forward_patched(&patch, &[], true);
-                let cold = Prepared::new(&apply_all(&specs, &subset), platform, ap)
-                    .forward(&[], true);
+                let patched =
+                    base.forward_patched(&mut base.scratch(), &patch, EdgeClass::All, &[], true);
+                let cold = Prepared::new(&apply_all(&specs, &subset), platform, ap);
+                let cold = cold.forward(&mut cold.scratch(), EdgeClass::All, &[], true);
                 assert_eq!(
                     patched, cold,
                     "{name} {platform} {subset:?}: patched substrate diverged from recompile"

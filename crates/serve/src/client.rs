@@ -1,7 +1,7 @@
 //! A small blocking HTTP/1.1 client for the serve wire protocol.
 //!
-//! Used by the integration tests, the `loadgen` bench driver and the
-//! `serve_smoke` CI bin; it speaks exactly the subset the server does
+//! Used by the integration tests, the `serve_smoke` CI bin and the
+//! `perfbench` serve benchmark; it speaks exactly the subset the server does
 //! (fixed-length bodies, keep-alive reuse, pipelining) so one
 //! connection can carry a whole load-generation session. Received
 //! bytes accumulate in a carry buffer that survives across responses,

@@ -32,8 +32,8 @@
 //! - [`server`] — routing on the reactor thread, deadlines (translated
 //!   into the backward engine's partial budget) and graceful
 //!   drain-on-shutdown that completes every accepted request.
-//! - [`client`] — the matching blocking client used by tests, the
-//!   `loadgen` driver and CI smoke.
+//! - [`client`] — the matching blocking client used by tests and CI
+//!   smoke.
 //!
 //! # Endpoints
 //!
