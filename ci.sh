@@ -29,7 +29,7 @@ cargo run --release -q -p actfort-bench --bin backward_smoke
 echo "==> batch smoke: shared-substrate sweep speedup (skips on <4 threads)"
 cargo run --release -q -p actfort-bench --bin batch_check
 
-echo "==> serve smoke: concurrent load + keep-alive/pipelining + forward p50 < 10 ms + /metrics trace_check"
+echo "==> serve smoke: concurrent load + keep-alive/pipelining + forward p50 < 10 ms + hostile bodies (10k-deep -> 400/2403, 1 MiB string -> 400; /healthz < 1 s) + /metrics trace_check"
 cargo run --release -q -p actfort-bench --bin serve_smoke -- --metrics-out "$trace_tmp/serve_metrics.json"
 cargo run --release -q -p actfort-bench --bin trace_check -- "$trace_tmp/serve_metrics.json" \
     serve.forward serve.backward

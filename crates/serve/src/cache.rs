@@ -25,6 +25,7 @@ use actfort_core::{Countermeasure, EdgeClass, UserProfile};
 use actfort_ecosystem::factor::ServiceId;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Cache key: one query, fully canonicalized.
@@ -127,15 +128,23 @@ impl CacheKey {
         class: EdgeClass,
         profiles: &[UserProfile],
     ) -> Self {
-        let mut payload = String::new();
+        // Upper bound of the spelling below: a 6-byte mask and a
+        // terminator per profile, a newline plus the id per service.
+        let len = profiles
+            .iter()
+            .map(|p| 7 + p.services.iter().map(|s| 1 + s.as_str().len()).sum::<usize>())
+            .sum::<usize>();
+        let mut payload = String::with_capacity(class.wire_name().len() + 1 + len);
         payload.push_str(class.wire_name());
         payload.push('\x1e');
+        let mut ids: Vec<&str> = Vec::new();
         for profile in profiles {
-            let mut ids: Vec<&str> = profile.services.iter().map(|s| s.as_str()).collect();
+            ids.clear();
+            ids.extend(profile.services.iter().map(|s| s.as_str()));
             ids.sort_unstable();
             ids.dedup();
-            payload.push_str(&format!("{:#06x}", profile.factors));
-            for id in ids {
+            let _ = write!(payload, "{:#06x}", profile.factors);
+            for &id in &ids {
                 payload.push('\n');
                 payload.push_str(id);
             }
@@ -296,6 +305,21 @@ mod tests {
             CacheKey::score(1, "auto", all, &[]).kind,
             CacheKey::forward(1, "auto", all, true, &[]).kind
         );
+    }
+
+    #[test]
+    fn score_key_payload_spelling_is_pinned() {
+        use actfort_core::OverlayFactor;
+        let p = |ids: &[&str], factors: u16| {
+            UserProfile::new(ids.iter().map(|s| ServiceId::new(s)).collect(), factors)
+        };
+        let batch = [
+            p(&["b", "a", "b"], OverlayFactor::SMS_CODE | OverlayFactor::EMAIL_LINK),
+            p(&[], OverlayFactor::ALL),
+            p(&["z"], 0),
+        ];
+        let key = CacheKey::score(3, "auto", EdgeClass::LoginOnly, &batch);
+        assert_eq!(key.payload, "login_only\x1e0x0005\na\nb\x1e0x03ff\x1e0x0000\nz\x1e");
     }
 
     #[test]

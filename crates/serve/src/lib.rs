@@ -17,9 +17,11 @@
 //!   per-connection state machines, an indexed timer wheel, classified
 //!   accept errors with exponential backoff, and a wakeup-fd completion
 //!   channel from the worker pool.
-//! - [`wire`] — the JSON protocol on `obs::json`: deterministic
-//!   rendering, stable error codes from
-//!   [`Error::code`](actfort_core::Error::code).
+//! - [`wire`] — the JSON protocol on `obs::json`, whose parser reads
+//!   every untrusted request body in linear time and refuses nesting
+//!   past [`MAX_DEPTH`](actfort_core::obs::json::MAX_DEPTH) (`400`,
+//!   [`CODE_SERVE_BODY_TOO_DEEP`]): deterministic rendering, stable
+//!   error codes from [`Error::code`](actfort_core::Error::code).
 //! - [`snapshot`] — `Arc`-shared immutable ecosystem generations with
 //!   atomic hot-swap (`POST /admin/reload`); a request serves entirely
 //!   from the generation it loaded first, so responses never tear.
@@ -62,8 +64,8 @@ pub mod wire;
 
 pub use client::{Client, ClientResponse};
 pub use server::{
-    start, ServerConfig, ServerHandle, CODE_SERVE_IO, CODE_SERVE_OVERLOADED,
-    CODE_SERVE_UNKNOWN_VERSION,
+    start, ServerConfig, ServerHandle, CODE_SERVE_BODY_TOO_DEEP, CODE_SERVE_IO,
+    CODE_SERVE_OVERLOADED, CODE_SERVE_UNKNOWN_VERSION,
 };
 pub use snapshot::Dataset;
 

@@ -40,6 +40,11 @@ pub const CODE_SERVE_OVERLOADED: u16 = 2401;
 /// path would exist under `/v1`, so clients can detect a version skew
 /// rather than a typo.
 pub const CODE_SERVE_UNKNOWN_VERSION: u16 = 2402;
+/// Wire discriminant for request bodies nested deeper than
+/// [`json::MAX_DEPTH`](actfort_core::obs::json::MAX_DEPTH): a `400`, like
+/// [`CODE_SERVE_UNKNOWN_VERSION`], rather than a generic malformed-JSON
+/// [`Error::Query`], so clients can tell a depth refusal from a typo.
+pub const CODE_SERVE_BODY_TOO_DEEP: u16 = 2403;
 
 /// Server configuration. `Default` serves the curated dataset on an
 /// ephemeral localhost port with environment-probed worker sizing.

@@ -8,9 +8,10 @@
 //! snapshot generation therefore produce *byte-identical* bodies — the
 //! property the response cache and the concurrency tests lean on.
 
+use crate::server::CODE_SERVE_BODY_TOO_DEEP;
 use actfort_core::analysis::{AttackChain, ForwardResult};
 use actfort_core::metrics::DepthBreakdown;
-use actfort_core::obs::json::{self, Json};
+use actfort_core::obs::json::{self, Json, ParseError};
 use actfort_core::query::Engine;
 use actfort_core::{
     Countermeasure, EdgeClass, Error, OverlayFactor, UserProfile, UserScore, WhatifReport,
@@ -131,13 +132,23 @@ pub struct ReloadRequest {
     pub dataset: String,
 }
 
+/// The one JSON parse every `parse_*` decoder starts from. A body nested
+/// past [`json::MAX_DEPTH`] fails with [`CODE_SERVE_BODY_TOO_DEEP`]
+/// (rendered as a `400`); any other malformation is an [`Error::Query`].
 fn parse_body(body: &[u8]) -> Result<Json, Error> {
     let text = std::str::from_utf8(body)
         .map_err(|_| Error::Query("request body is not UTF-8".into()))?;
     if text.trim().is_empty() {
         return Ok(Json::Obj(Default::default()));
     }
-    json::parse(text).map_err(|e| Error::Query(format!("request body is not valid JSON: {e}")))
+    json::parse(text).map_err(|e| match e {
+        ParseError::TooDeep { .. } => Error::Upstream {
+            layer: "serve",
+            code: CODE_SERVE_BODY_TOO_DEEP,
+            message: format!("request body is too deeply nested: {e}"),
+        },
+        ParseError::Syntax(_) => Error::Query(format!("request body is not valid JSON: {e}")),
+    })
 }
 
 fn field_usize(doc: &Json, name: &str) -> Result<Option<usize>, Error> {
@@ -558,7 +569,10 @@ pub fn render_whatif(generation: u64, reports: &[WhatifReport]) -> Vec<u8> {
 /// ([`Error::code`]) and kind so clients can match
 /// without parsing prose.
 pub fn render_error(err: &Error) -> (u16, Vec<u8>) {
-    let status = if err.is_client_error() { 400 } else { 500 };
+    // A too-deep body is the client's fault, though the 24xx block
+    // travels as `Error::Upstream`.
+    let client = err.is_client_error() || err.code() == CODE_SERVE_BODY_TOO_DEEP;
+    let status = if client { 400 } else { 500 };
     let mut out = String::with_capacity(128);
     let _ = write!(out, "{{\"error\":{{\"code\":{},\"kind\":\"{}\",\"message\":", err.code(), err.kind());
     json::write_str(&mut out, &err.to_string());

@@ -12,13 +12,19 @@
 //!    curated dataset (the recovery surface is real, not a no-op
 //!    filter);
 //! 5. the retired `"incremental"` engine spelling is an unknown engine
-//!    at both spellings of the route.
+//!    at both spellings of the route;
+//! 6. a body nested past `json::MAX_DEPTH` — 10,000 `[`, or 10,000
+//!    levels of `{"a":` — is a `400` with `CODE_SERVE_BODY_TOO_DEEP` on
+//!    every analysis route at both spellings and on `/admin/reload`,
+//!    and the server keeps answering on other connections.
 //!
 //! The obs recorder is process-global, so tests serialize behind one
 //! mutex.
 
 use actfort_core::obs::json::{self, Json};
-use actfort_serve::{start, Client, ServerConfig, CODE_SERVE_UNKNOWN_VERSION};
+use actfort_serve::{
+    start, Client, ServerConfig, CODE_SERVE_BODY_TOO_DEEP, CODE_SERVE_UNKNOWN_VERSION,
+};
 use std::sync::{Mutex, MutexGuard};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -199,4 +205,46 @@ fn retired_incremental_engine_rejects_at_both_spellings() {
 
     handle.shutdown();
     actfort_core::obs::set_enabled(false);
+}
+
+/// Posts `body` to every analysis route at both spellings and to
+/// `/admin/reload`; each must refuse it with `400` and
+/// `CODE_SERVE_BODY_TOO_DEEP`, and `/healthz` must still answer on a
+/// second connection afterwards.
+fn assert_too_deep_everywhere(body: &[u8]) {
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let mut paths: Vec<String> = ["forward", "backward", "score", "whatif"]
+        .iter()
+        .flat_map(|tail| [format!("/{tail}"), format!("/v1/{tail}")])
+        .collect();
+    paths.push("/admin/reload".to_owned());
+    for path in &paths {
+        let resp = client.post(path, body).expect("request");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.text());
+        assert_eq!(
+            error_field(&resp, "code").as_num(),
+            Some(f64::from(CODE_SERVE_BODY_TOO_DEEP)),
+            "{path}"
+        );
+    }
+
+    let mut other = Client::connect(handle.addr()).expect("second connection");
+    assert_eq!(other.get("/healthz").expect("healthz").status, 200);
+
+    handle.shutdown();
+}
+
+#[test]
+fn ten_thousand_open_brackets_reject_as_too_deep() {
+    let _g = lock();
+    assert_too_deep_everywhere("[".repeat(10_000).as_bytes());
+}
+
+#[test]
+fn ten_thousand_nested_objects_reject_as_too_deep() {
+    let _g = lock();
+    let body = format!("{}1{}", r#"{"a":"#.repeat(10_000), "}".repeat(10_000));
+    assert_too_deep_everywhere(body.as_bytes());
 }
