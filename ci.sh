@@ -23,13 +23,13 @@ cargo run --release -q -p actfort-bench --bin fig3 -- --trace "$trace_tmp/fig3.j
 cargo run --release -q -p actfort-bench --bin trace_check -- "$trace_tmp/fig3.json" \
     metrics.sms_only metrics.factor_usage metrics.multi_factor
 
-echo "==> backward smoke: best-first engine ≡ naive reference"
+echo "==> backward smoke: curated + paper:2021, web + mobile: engine exhaustive everywhere, ≡ naive wherever naive finishes"
 cargo run --release -q -p actfort-bench --bin backward_smoke
 
 echo "==> batch smoke: shared-substrate sweep speedup (skips on <4 threads)"
 cargo run --release -q -p actfort-bench --bin batch_check
 
-echo "==> serve smoke: concurrent load + keep-alive/pipelining + forward p50 < 10 ms + hostile bodies (10k-deep -> 400/2403, 1 MiB string -> 400; /healthz < 1 s) + /metrics trace_check"
+echo "==> serve smoke: concurrent load + keep-alive/pipelining + forward p50 < 10 ms + hostile bodies (10k-deep -> 400/2403, 1 MiB string -> 400, naive backward -> 400/11; each 400 and /healthz < 1 s) + /metrics trace_check"
 cargo run --release -q -p actfort-bench --bin serve_smoke -- --metrics-out "$trace_tmp/serve_metrics.json"
 cargo run --release -q -p actfort-bench --bin trace_check -- "$trace_tmp/serve_metrics.json" \
     serve.forward serve.backward

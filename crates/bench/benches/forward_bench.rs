@@ -10,7 +10,8 @@
 use actfort_core::batch::BatchAnalyzer;
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
-use actfort_core::{metrics, BackwardEngine, ForwardResult, Tdg};
+use actfort_core::analysis::MAX_BACKWARD_PARTIALS;
+use actfort_core::{metrics, BackwardEngine, EdgeClass, ForwardResult, Tdg};
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::policy::Platform;
@@ -52,8 +53,9 @@ fn backward_chains_naive(tdg: &Tdg, target: &ServiceId, max_chains: usize) -> Ve
         .backward(target)
         .max_chains(max_chains)
         .engine(Engine::Naive)
-        .run()
+        .run_bounded()
         .expect("valid query")
+        .0
 }
 
 fn population(n: usize) -> Vec<actfort_ecosystem::ServiceSpec> {
@@ -119,7 +121,7 @@ fn bench_backward(c: &mut Criterion) {
             b.iter(|| {
                 let engine = BackwardEngine::new(&tdg);
                 for t in &targets {
-                    black_box(engine.chains(t, BACKWARD_MAX_CHAINS));
+                    black_box(engine.chains(t, BACKWARD_MAX_CHAINS, MAX_BACKWARD_PARTIALS, EdgeClass::All));
                 }
             })
         });
@@ -259,7 +261,7 @@ fn measure_backward() -> String {
         }
         let engine = BackwardEngine::new(&tdg);
         for t in &targets {
-            let _ = black_box(engine.chains(t, BACKWARD_MAX_CHAINS));
+            let _ = black_box(engine.chains(t, BACKWARD_MAX_CHAINS, MAX_BACKWARD_PARTIALS, EdgeClass::All));
         }
         obs::set_enabled(false);
         let snap = obs::snapshot();

@@ -5,17 +5,19 @@
 //! must match the sequential golden bodies — checks the serving
 //! contract (all 200s, byte-identical bodies, measured cache hits),
 //! gates the forward p50 latency below [`MAX_FORWARD_P50_MS`], posts
-//! two hostile bodies (10,000 `[`, and one 1 MiB seed string) that must
-//! each get their `400` while `/healthz` keeps answering within
-//! [`MAX_HEALTHZ_AFTER_HOSTILE`], and writes the `/metrics` snapshot to
-//! `--metrics-out` for `trace_check` to validate.
+//! three hostile bodies (10,000 `[`, one 1 MiB seed string, and a
+//! backward query asking for the naive engine at the largest budget)
+//! that must each get a fast `400` while `/healthz` keeps answering
+//! within [`MAX_HEALTHZ_AFTER_HOSTILE`], and writes the `/metrics`
+//! snapshot to `--metrics-out` for `trace_check` to validate.
 //!
 //! ```sh
 //! cargo run --release -p actfort-bench --bin serve_smoke -- --metrics-out /tmp/m.json
 //! ```
 
 use actfort_bench::load::{run, LoadPlan, Shot};
-use actfort_core::error::CODE_UNKNOWN_SERVICE;
+use actfort_core::analysis::MAX_BACKWARD_PARTIALS;
+use actfort_core::error::{CODE_QUERY, CODE_UNKNOWN_SERVICE};
 use actfort_serve::http::MAX_BODY_BYTES;
 use actfort_serve::{start, Client, ServerConfig, CODE_SERVE_BODY_TOO_DEEP};
 use std::time::{Duration, Instant};
@@ -27,10 +29,11 @@ use std::time::{Duration, Instant};
 /// returning.
 const MAX_FORWARD_P50_MS: f64 = 10.0;
 
-/// Responsiveness gate: after a hostile body (nested 10,000 deep, or
-/// one 1 MiB string), `/healthz` on another connection must answer
-/// within this long. A parse that holds the reactor thread, or a stack
-/// overflow that kills the process, fails it.
+/// Responsiveness gate: a hostile body (nested 10,000 deep, one 1 MiB
+/// string, or a naive backward search) must get its `400`, and then
+/// `/healthz` on another connection must answer, each within this
+/// long. A parse that holds the reactor thread, a stack overflow that
+/// kills the process, or a naive search that runs, fails it.
 const MAX_HEALTHZ_AFTER_HOSTILE: Duration = Duration::from_secs(1);
 
 fn main() {
@@ -143,22 +146,29 @@ fn main() {
     );
     println!("serve_smoke: latency gate OK (forward p50 {p50_ms:.3} ms < {MAX_FORWARD_P50_MS} ms)");
 
-    // Phase 4: hostile bodies. Each must get its 400, and the reactor
+    // Phase 4: hostile bodies. Each must get a fast 400, and the reactor
     // must stay responsive to other connections afterwards.
     let deep = "[".repeat(10_000);
     let seed_len = MAX_BODY_BYTES - r#"{"seeds":[""]}"#.len();
     let long = format!(r#"{{"seeds":["{}"]}}"#, "x".repeat(seed_len));
-    for (name, body, code) in [
-        ("10,000-deep body", deep.as_bytes(), CODE_SERVE_BODY_TOO_DEEP),
-        ("1 MiB seed string", long.as_bytes(), CODE_UNKNOWN_SERVICE),
+    let naive = format!(
+        r#"{{"target":"paypal","engine":"naive","budget":{MAX_BACKWARD_PARTIALS}}}"#
+    );
+    for (name, path, body, code) in [
+        ("10,000-deep body", "/v1/forward", deep.as_bytes(), CODE_SERVE_BODY_TOO_DEEP),
+        ("1 MiB seed string", "/v1/forward", long.as_bytes(), CODE_UNKNOWN_SERVICE),
+        ("naive backward", "/v1/backward", naive.as_bytes(), CODE_QUERY),
     ] {
         let mut hostile = Client::connect(handle.addr()).expect("connect for hostile body");
-        let resp = hostile.post("/v1/forward", body).expect("hostile request");
+        let started = Instant::now();
+        let resp = hostile.post(path, body).expect("hostile request");
+        let refused_in = started.elapsed();
         let answered = actfort_core::obs::json::parse(resp.text())
             .ok()
             .and_then(|doc| doc.get("error")?.get("code")?.as_num());
         assert_eq!(resp.status, 400, "{name}: status");
         assert_eq!(answered, Some(f64::from(code)), "{name}: error code");
+        assert!(refused_in < MAX_HEALTHZ_AFTER_HOSTILE, "{name}: the 400 took {refused_in:?}");
         let started = Instant::now();
         let mut probe = Client::connect(handle.addr()).expect("connect for healthz probe");
         assert_eq!(probe.get("/healthz").expect("healthz after hostile body").status, 200);
@@ -167,7 +177,10 @@ fn main() {
             waited < MAX_HEALTHZ_AFTER_HOSTILE,
             "{name}: /healthz on another connection took {waited:?}"
         );
-        println!("serve_smoke: hostile {name} -> 400/{code}; /healthz answered in {waited:?}");
+        println!(
+            "serve_smoke: hostile {name} -> 400/{code} in {refused_in:?}; \
+             /healthz answered in {waited:?}"
+        );
     }
 
     let mut client = Client::connect(handle.addr()).expect("connect for metrics");

@@ -1,5 +1,8 @@
 //! Best-first backward-query engine — the production implementation
-//! behind the query facade's backward path.
+//! behind the query facade's backward path. Each [`Tdg`] owns one,
+//! built on first use ([`Tdg::backward`]); `Engine::Auto` and
+//! `Engine::Prepared` backward queries both run it at every population
+//! size.
 //!
 //! The reference BFS (`Engine::Naive` in the facade) clones
 //! a full `Partial` — step lists, unresolved stack, visited set — on
@@ -24,15 +27,14 @@
 //! `tests/backward_props.rs`; the argument is spelled out in
 //! DESIGN.md §10.
 
-use crate::analysis::{
-    canonicalize_chains, AttackChain, ChainStep, MAX_BACKWARD_PARTIALS, MAX_CHAIN_STEPS,
-};
+use crate::analysis::{canonicalize_chains, AttackChain, ChainStep, MAX_CHAIN_STEPS};
 use crate::obs;
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::EdgeClass;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
+use std::sync::Arc;
 
 /// Arena sentinel: no predecessor step.
 const NIL: u32 = u32::MAX;
@@ -74,26 +76,6 @@ fn bit(words: &[u64], i: u32) -> bool {
 #[inline]
 fn set_bit(words: &mut [u64], i: u32) {
     words[(i >> 6) as usize] |= 1u64 << (i & 63);
-}
-
-/// Reusable per-query search state for [`BackwardEngine`]. Every
-/// [`BackwardEngine::chains_bounded_with`] call clears it first, so one
-/// scratch serves any number of queries (against any engine) — arena,
-/// slab and heap keep their high-water-mark allocations instead of
-/// reallocating per query.
-#[derive(Default)]
-pub struct BackwardScratch {
-    arena: Vec<StepNode>,
-    slab: Vec<Option<Partial>>,
-    heap: BinaryHeap<Reverse<(u16, u16, u32)>>,
-    seen: BTreeSet<Vec<ChainStep>>,
-}
-
-impl BackwardScratch {
-    /// An empty scratch; sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// The flattened adjacency and fringe-support memo for one edge-class
@@ -165,12 +147,18 @@ fn graph_index(class: EdgeClass) -> usize {
     }
 }
 
-/// The backward query engine over one TDG snapshot. Build once per
-/// graph ([`BackwardEngine::new`]) and reuse across targets: the
-/// fringe-support memos and the flattened adjacencies (one per
-/// materialised edge class) are per-graph, not per-query.
-#[derive(Debug)]
+/// The backward query engine over one TDG snapshot. The graph owns one
+/// ([`Tdg::backward`] builds it on first use) and every production
+/// backward query runs it: the fringe-support memos and the flattened
+/// adjacencies (one per materialised edge class) are per-graph, not
+/// per-query. Cloning is cheap — the built state sits behind one `Arc`.
+#[derive(Debug, Clone)]
 pub struct BackwardEngine {
+    inner: Arc<EngineGraphs>,
+}
+
+#[derive(Debug)]
+struct EngineGraphs {
     ids: Vec<ServiceId>,
     /// `[All, LoginOnly]` views of the same TDG.
     graphs: [ClassGraph; 2],
@@ -179,7 +167,8 @@ pub struct BackwardEngine {
 impl BackwardEngine {
     /// Builds the engine: flattens the TDG adjacency and resolves the
     /// per-node fringe-support memo to its least fixed point, once for
-    /// the full graph and once for the login-only view.
+    /// the full graph and once for the login-only view. Prefer
+    /// [`Tdg::backward`], which builds it once per graph.
     pub fn new(tdg: &Tdg) -> Self {
         let _span = obs::span("backward.build");
         let n = tdg.node_count();
@@ -188,96 +177,49 @@ impl BackwardEngine {
             ClassGraph::build(tdg, EdgeClass::All),
             ClassGraph::build(tdg, EdgeClass::LoginOnly),
         ];
-        Self { ids, graphs }
+        Self { inner: Arc::new(EngineGraphs { ids, graphs }) }
     }
 
     /// Number of graph nodes.
     pub fn node_count(&self) -> usize {
-        self.ids.len()
+        self.inner.ids.len()
     }
 
     /// Whether any chain to `target` can exist at all (the fringe-support
     /// memo for its node). `false` short-circuits [`Self::chains`].
     pub fn is_reachable(&self, target: &ServiceId) -> bool {
-        self.ids
+        self.inner
+            .ids
             .iter()
             .position(|id| id == target)
-            .map(|t| self.graphs[0].support[t])
+            .map(|t| self.inner.graphs[0].support[t])
             .unwrap_or(false)
     }
 
     /// The backward query: up to `max_chains` attack chains ending at
-    /// `target`, in the canonical order (fewest steps, fewest accounts,
-    /// then lexicographic).
-    pub fn chains(&self, target: &ServiceId, max_chains: usize) -> Vec<AttackChain> {
-        self.chains_bounded(target, max_chains, MAX_BACKWARD_PARTIALS).0
-    }
-
-    /// [`Self::chains`] with an explicit partial budget, also reporting
-    /// whether the search was exhaustive (`true`) or cut short by the
-    /// budget (`false`) — the facade's `.budget(..)` / deadline knob.
-    /// The budget caps both slab creations (memory) and heap pops
-    /// (time); step-depth prunes do not affect exhaustiveness, matching
-    /// the naive reference's semantics.
-    pub fn chains_bounded(
-        &self,
-        target: &ServiceId,
-        max_chains: usize,
-        partial_budget: usize,
-    ) -> (Vec<AttackChain>, bool) {
-        self.chains_bounded_with(&mut BackwardScratch::new(), target, max_chains, partial_budget)
-    }
-
-    /// [`Self::chains_bounded`] under an edge-class filter (`All` or
-    /// `LoginOnly`; see [`graph_index`]).
-    pub fn chains_bounded_in(
+    /// `target` under an edge-class filter (`All` or `LoginOnly`; see
+    /// [`graph_index`]), in the canonical order (fewest steps, fewest
+    /// accounts, then lexicographic). Also reports whether the search
+    /// was exhaustive (`true`) or cut short by `partial_budget`
+    /// (`false`). The budget caps both slab creations (memory) and heap
+    /// pops (time); step-depth prunes do not affect exhaustiveness,
+    /// matching the naive reference's semantics.
+    pub fn chains(
         &self,
         target: &ServiceId,
         max_chains: usize,
         partial_budget: usize,
         class: EdgeClass,
     ) -> (Vec<AttackChain>, bool) {
-        self.chains_bounded_in_with(
-            &mut BackwardScratch::new(),
-            target,
-            max_chains,
-            partial_budget,
-            class,
-        )
-    }
-
-    /// [`Self::chains_bounded`] reusing caller-owned scratch buffers —
-    /// the fast path for query loops (serve keeps one scratch per
-    /// worker). Behaviour is identical; only the allocations are
-    /// amortized.
-    pub fn chains_bounded_with(
-        &self,
-        scratch: &mut BackwardScratch,
-        target: &ServiceId,
-        max_chains: usize,
-        partial_budget: usize,
-    ) -> (Vec<AttackChain>, bool) {
-        self.chains_bounded_in_with(scratch, target, max_chains, partial_budget, EdgeClass::All)
-    }
-
-    /// [`Self::chains_bounded_with`] under an edge-class filter — the
-    /// full-knob entry point behind the query facade.
-    pub fn chains_bounded_in_with(
-        &self,
-        scratch: &mut BackwardScratch,
-        target: &ServiceId,
-        max_chains: usize,
-        partial_budget: usize,
-        class: EdgeClass,
-    ) -> (Vec<AttackChain>, bool) {
-        let graph = &self.graphs[graph_index(class)];
+        let EngineGraphs { ids, graphs } = &*self.inner;
+        let graph = &graphs[graph_index(class)];
         let _span = obs::span("backward.chains");
         let explored = obs::counter("backward.partials_explored");
         let memo_hits = obs::counter("backward.memo_hits");
         let pruned_bound = obs::counter("backward.pruned_bound");
         let pruned_visited = obs::counter("backward.pruned_visited");
 
-        let Some(t) = self.ids.iter().position(|id| id == target) else {
+        let Some(t) = ids.iter().position(|id| id == target) else {
             return (Vec::new(), true);
         };
         if max_chains == 0 {
@@ -289,15 +231,14 @@ impl BackwardEngine {
             return (Vec::new(), true);
         }
 
-        let words = self.ids.len().div_ceil(64);
-        let BackwardScratch { arena, slab, heap, seen } = scratch;
-        arena.clear();
-        slab.clear();
+        let words = ids.len().div_ceil(64);
+        let mut arena: Vec<StepNode> = Vec::new();
+        let mut slab: Vec<Option<Partial>> = Vec::new();
         // Min-heap on (steps, accounts, slab index): the slab index is
         // allocation order, giving the FIFO tie-break that makes the
         // search deterministic.
-        heap.clear();
-        seen.clear();
+        let mut heap: BinaryHeap<Reverse<(u16, u16, u32)>> = BinaryHeap::new();
+        let mut seen: BTreeSet<Vec<ChainStep>> = BTreeSet::new();
 
         arena.push(StepNode { group: Group::Single(t as u32), prev: NIL });
         let mut visited = vec![0u64; words];
@@ -351,10 +292,10 @@ impl BackwardEngine {
                 while cursor != NIL {
                     let StepNode { group, prev } = arena[cursor as usize];
                     let services = match group {
-                        Group::Single(p) => vec![self.ids[p as usize].clone()],
+                        Group::Single(p) => vec![ids[p as usize].clone()],
                         Group::Couple { node, k } => graph.couples[node as usize][k as usize]
                             .iter()
-                            .map(|&p| self.ids[p as usize].clone())
+                            .map(|&p| ids[p as usize].clone())
                             .collect(),
                     };
                     chain_steps.push(ChainStep { services });
@@ -417,9 +358,9 @@ impl BackwardEngine {
                     continue;
                 }
                 push_child(
-                    arena,
-                    slab,
-                    heap,
+                    &mut arena,
+                    &mut slab,
+                    &mut heap,
                     &mut exhaustive,
                     Group::Single(parent),
                     &[parent],
@@ -436,7 +377,7 @@ impl BackwardEngine {
                     continue;
                 }
                 let group = Group::Couple { node, k: k as u32 };
-                push_child(arena, slab, heap, &mut exhaustive, group, providers);
+                push_child(&mut arena, &mut slab, &mut heap, &mut exhaustive, group, providers);
             }
         }
 
@@ -450,13 +391,17 @@ impl BackwardEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::backward_chains_naive_budget;
+    use crate::analysis::{backward_chains_naive_budget, MAX_BACKWARD_PARTIALS};
     use crate::profile::AttackerProfile;
     use actfort_ecosystem::dataset::curated_services;
     use actfort_ecosystem::policy::Platform;
 
     fn graph(platform: Platform) -> Tdg {
         Tdg::build(&curated_services(), platform, AttackerProfile::paper_default())
+    }
+
+    fn top(engine: &BackwardEngine, target: &ServiceId, max_chains: usize) -> Vec<AttackChain> {
+        engine.chains(target, max_chains, MAX_BACKWARD_PARTIALS, EdgeClass::All).0
     }
 
     #[test]
@@ -468,7 +413,7 @@ mod tests {
                 let id = tdg.spec(i).id.clone();
                 for max_chains in [1, 3, 8] {
                     assert_eq!(
-                        engine.chains(&id, max_chains),
+                        top(&engine, &id, max_chains),
                         backward_chains_naive_budget(&tdg, &id, max_chains, MAX_BACKWARD_PARTIALS, EdgeClass::All)
                             .0,
                         "{platform:?}/{id}/max_chains={max_chains}"
@@ -483,7 +428,7 @@ mod tests {
         let tdg = graph(Platform::Web);
         let engine = BackwardEngine::new(&tdg);
         for (gi, class) in [(0, EdgeClass::All), (1, EdgeClass::LoginOnly)] {
-            let support = &engine.graphs[gi].support;
+            let support = &engine.inner.graphs[gi].support;
             for v in 0..tdg.node_count() {
                 let expect = tdg.is_fringe_in(v, class)
                     || tdg.strong_parents_in(v, class).any(|p| support[p])
@@ -506,7 +451,7 @@ mod tests {
         let tdg = graph(Platform::Web);
         let engine = BackwardEngine::new(&tdg);
         assert!(!engine.is_reachable(&"union-bank".into()));
-        assert!(engine.chains(&"union-bank".into(), 8).is_empty());
+        assert!(top(&engine, &"union-bank".into(), 8).is_empty());
         assert!(!engine.is_reachable(&"nonexistent".into()));
         assert!(engine.is_reachable(&"alipay".into()));
     }
@@ -515,7 +460,7 @@ mod tests {
     fn chains_arrive_in_canonical_order() {
         let tdg = graph(Platform::MobileApp);
         let engine = BackwardEngine::new(&tdg);
-        let chains = engine.chains(&"alipay".into(), 8);
+        let chains = top(&engine, &"alipay".into(), 8);
         assert!(!chains.is_empty());
         for pair in chains.windows(2) {
             assert!(
@@ -529,6 +474,6 @@ mod tests {
     fn max_chains_zero_returns_nothing() {
         let tdg = graph(Platform::Web);
         let engine = BackwardEngine::new(&tdg);
-        assert!(engine.chains(&"paypal".into(), 0).is_empty());
+        assert!(top(&engine, &"paypal".into(), 0).is_empty());
     }
 }

@@ -3,9 +3,11 @@
 //! [`Analysis`] is the single builder every analysis goes through:
 //! pick a *source* (a built [`Tdg`] or raw specs), a *direction*
 //! (forward seeds or a backward target), then tune knobs and `run()`.
-//! Engine selection is explicit ([`Engine`]). [`Engine::Auto`] is the
-//! production engine for forward and score queries; backward queries
-//! keep one measured size dispatch at [`BACKWARD_CROSSOVER`].
+//! Engine selection is explicit ([`Engine`]) and follows one rule in
+//! every direction: [`Engine::Naive`] runs the reference oracle, and
+//! anything else runs the production engine — the prepared substrate
+//! for forward and score queries, the graph-owned best-first
+//! [`BackwardEngine`] ([`Tdg::backward`]) for backward queries.
 //!
 //! Every query accepts an [`EdgeClass`] filter (default
 //! [`EdgeClass::All`], which is byte-identical to the unfiltered
@@ -69,43 +71,20 @@ use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use std::borrow::Cow;
 
-/// Population size (eligible services) below which [`Engine::Auto`]
-/// serves *backward* queries with the naive BFS instead of the
-/// best-first engine.
-///
-/// `BENCH_forward.json` shows the engine's build + heap machinery is
-/// pure overhead on the measured small-to-mid graphs (0.72× vs naive at
-/// 44 services, 0.16× at the 201-service paper population) while the
-/// naive clone-per-partial BFS detonates on dense graphs (6.18 s vs
-/// 218 µs at 400). The blowup is driven by couple-file density, not
-/// node count alone — synthetic populations around 200–215 nodes
-/// already show 1000×+ naive regressions on dense targets — and the
-/// cost asymmetry is extreme: naive's win is microseconds, its loss is
-/// seconds. The crossover therefore hugs the largest population where
-/// naive's advantage is actually measured (201) rather than stretching
-/// toward the blowup region. Both sides produce identical chains when
-/// exhaustive (property-tested, and pinned across this boundary by the
-/// straddle regression test).
-pub const BACKWARD_CROSSOVER: usize = 210;
-
 /// Which implementation serves a query. Results are engine-independent
 /// (property tested); only the work schedule differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The production engine for forward and score queries, at every
-    /// population size. Backward queries dispatch by size: the naive
-    /// BFS below [`BACKWARD_CROSSOVER`] eligible services, the
-    /// best-first engine at or above it.
+    /// The production engine, at every population size; the same as
+    /// [`Engine::Prepared`].
     #[default]
     Auto,
     /// The production engine. Forward and score queries run on the
     /// interned analysis substrate ([`crate::Prepared`]): compile the
     /// population once into bitset/integer-coded form, then run the
     /// fixed point on scratch buffers (score queries take the 64-lane
-    /// schedule). Backward queries run the best-first arena
-    /// [`BackwardEngine`]. For forward and score queries this is what
-    /// [`Engine::Auto`] runs; for backward queries explicit selection
-    /// forces the best-first engine below [`BACKWARD_CROSSOVER`] too.
+    /// schedule). Backward queries run the graph's best-first arena
+    /// [`BackwardEngine`] ([`Tdg::backward`]).
     Prepared,
     /// The reference implementation: full-rescan fixed point for
     /// forward, the scalar one-user-at-a-time loop for score,
@@ -116,8 +95,8 @@ pub enum Engine {
 
 /// Where a query reads its population from.
 enum Source<'a> {
-    /// A built dependency graph (snapshot); backward queries reuse its
-    /// adjacency directly.
+    /// A built dependency graph (snapshot); backward queries run its
+    /// own engine.
     Graph(&'a Tdg),
     /// Raw service specs; backward queries build a graph on demand.
     Raw { specs: &'a [ServiceSpec], platform: Platform, ap: AttackerProfile },
@@ -181,22 +160,6 @@ impl Source<'_> {
             Source::Raw { specs, platform, ap } => Cow::Owned(Tdg::build(specs, *platform, *ap)),
         }
     }
-
-    /// Number of services eligible on the analysed platform — the input
-    /// to the backward size dispatch. (A graph source is already
-    /// platform-filtered.)
-    fn eligible(&self) -> usize {
-        match self {
-            Source::Graph(tdg) => tdg.node_count(),
-            Source::Raw { specs, platform, .. } => specs
-                .iter()
-                .filter(|s| match platform {
-                    Platform::Web => s.has_web,
-                    Platform::MobileApp => s.has_mobile,
-                })
-                .count(),
-        }
-    }
 }
 
 /// The facade entry point: pick a source, then a direction.
@@ -207,8 +170,8 @@ pub struct Analysis<'a> {
 }
 
 impl<'a> Analysis<'a> {
-    /// Analyse a built dependency graph. Backward queries reuse its
-    /// adjacency; forward queries run over its spec set, platform and
+    /// Analyse a built dependency graph. Backward queries run its own
+    /// engine; forward queries run over its spec set, platform and
     /// attacker profile.
     pub fn of(tdg: &'a Tdg) -> Self {
         Self { source: Source::Graph(tdg) }
@@ -244,7 +207,6 @@ impl<'a> Analysis<'a> {
             max_chains: 8,
             budget: None,
             engine: Engine::Auto,
-            via: None,
             class: EdgeClass::All,
             trace: None,
         }
@@ -260,7 +222,6 @@ impl<'a> Analysis<'a> {
             source: self.source,
             cms,
             patcher: None,
-            backward_via: None,
             chains_per_target: 2,
             max_severed: 16,
             class: EdgeClass::All,
@@ -485,7 +446,6 @@ pub struct BackwardQuery<'a> {
     max_chains: usize,
     budget: Option<usize>,
     engine: Engine,
-    via: Option<&'a BackwardEngine>,
     class: EdgeClass,
     trace: Option<&'static str>,
 }
@@ -514,12 +474,11 @@ impl<'a> BackwardQuery<'a> {
         self
     }
 
-    /// Serves the query through a prebuilt [`BackwardEngine`] instead
-    /// of constructing one, amortizing graph flattening and the
-    /// fringe-support memo across queries. Implies
-    /// [`Engine::Prepared`].
-    pub fn via(mut self, engine: &'a BackwardEngine) -> Self {
-        self.via = Some(engine);
+    /// No-op kept for source compatibility: every production backward
+    /// query already runs the graph's own engine. Removed once its last
+    /// caller, `perfbench`, stops calling it.
+    #[doc(hidden)]
+    pub fn via(self, _engine: &BackwardEngine) -> Self {
         self
     }
 
@@ -542,9 +501,18 @@ impl<'a> BackwardQuery<'a> {
 
     /// Runs the query, returning up to `max_chains` chains in canonical
     /// order. Fails with [`Error::UnknownService`] for a target absent
-    /// from the population and [`Error::Query`] for a zero budget.
+    /// from the population, and with [`Error::Query`] for a zero budget
+    /// or when the budget cut the search short (use
+    /// [`Self::run_bounded`] to accept a partial answer).
     pub fn run(&self) -> Result<Vec<AttackChain>, Error> {
-        self.run_bounded().map(|(chains, _)| chains)
+        match self.run_bounded()? {
+            (chains, true) => Ok(chains),
+            (_, false) => Err(Error::Query(format!(
+                "backward search for {} was cut short by its budget of {} partial states",
+                self.target,
+                self.partial_budget()
+            ))),
+        }
     }
 
     /// [`Self::run`], also reporting whether the search was exhaustive
@@ -556,7 +524,8 @@ impl<'a> BackwardQuery<'a> {
     /// under one global canonical order, so any login chain appearing
     /// in the unfiltered top-`max_chains` ranks within the login-only
     /// top-`max_chains` too — membership can be decided from the two
-    /// truncated lists alone.
+    /// truncated lists alone. Both class searches share one graph (and
+    /// so one engine).
     pub fn run_bounded(&self) -> Result<(Vec<AttackChain>, bool), Error> {
         if !self.source.knows(self.target) {
             return Err(Error::UnknownService(self.target.to_string()));
@@ -564,44 +533,23 @@ impl<'a> BackwardQuery<'a> {
         if self.budget == Some(0) {
             return Err(Error::Query("backward budget must be positive".into()));
         }
-        let budget = self.budget.unwrap_or(MAX_BACKWARD_PARTIALS);
-        Ok(recovery_difference(self.class, |class| self.search(class, budget)))
+        let budget = self.partial_budget();
+        let tdg = self.source.graph();
+        Ok(recovery_difference(self.class, |class| {
+            let _span = self.trace.map(obs::span);
+            match self.engine {
+                Engine::Naive => {
+                    backward_chains_naive_budget(&tdg, self.target, self.max_chains, budget, class)
+                }
+                Engine::Auto | Engine::Prepared => {
+                    tdg.backward().chains(self.target, self.max_chains, budget, class)
+                }
+            }
+        }))
     }
 
-    /// The single-class search behind [`Self::run_bounded`]; accepts
-    /// only the two classes the engines materialise.
-    fn search(&self, class: EdgeClass, budget: usize) -> (Vec<AttackChain>, bool) {
-        let _span = self.trace.map(obs::span);
-        if let Some(engine) = self.via {
-            return engine.chains_bounded_in(self.target, self.max_chains, budget, class);
-        }
-        // Auto dispatches by size: naive BFS below
-        // [`BACKWARD_CROSSOVER`] eligible services (the best-first
-        // engine's build is pure overhead there), the arena engine at or
-        // above it (where the naive clone-per-partial BFS blows up).
-        let engine = match self.engine {
-            Engine::Auto if self.source.eligible() < BACKWARD_CROSSOVER => {
-                obs::add("analysis.backward_dispatch_naive", 1);
-                Engine::Naive
-            }
-            Engine::Auto => {
-                obs::add("analysis.backward_dispatch_engine", 1);
-                Engine::Prepared
-            }
-            explicit => explicit,
-        };
-        let tdg = self.source.graph();
-        match engine {
-            Engine::Naive => {
-                backward_chains_naive_budget(&tdg, self.target, self.max_chains, budget, class)
-            }
-            Engine::Auto | Engine::Prepared => BackwardEngine::new(&tdg).chains_bounded_in(
-                self.target,
-                self.max_chains,
-                budget,
-                class,
-            ),
-        }
+    fn partial_budget(&self) -> usize {
+        self.budget.unwrap_or(MAX_BACKWARD_PARTIALS)
     }
 }
 
@@ -658,7 +606,6 @@ pub struct WhatifQuery<'a> {
     source: Source<'a>,
     cms: &'a [Countermeasure],
     patcher: Option<&'a Patcher>,
-    backward_via: Option<&'a BackwardEngine>,
     chains_per_target: usize,
     max_severed: usize,
     class: EdgeClass,
@@ -676,10 +623,11 @@ impl<'a> WhatifQuery<'a> {
         self
     }
 
-    /// Serves the severed-chain lookups through a prebuilt
-    /// [`BackwardEngine`] instead of constructing one.
-    pub fn via(mut self, engine: &'a BackwardEngine) -> Self {
-        self.backward_via = Some(engine);
+    /// No-op kept for source compatibility: the severed-chain lookups
+    /// already run the graph's own engine. Removed once its last
+    /// caller, `perfbench`, stops calling it.
+    #[doc(hidden)]
+    pub fn via(self, _engine: &BackwardEngine) -> Self {
         self
     }
 
@@ -755,17 +703,11 @@ impl<'a> WhatifQuery<'a> {
             .collect();
         let mut severed = Vec::new();
         if self.max_severed > 0 && self.chains_per_target > 0 && !protected.is_empty() {
-            let owned_engine;
-            let engine = match self.backward_via {
-                Some(e) => e,
-                None => {
-                    owned_engine = BackwardEngine::new(&self.source.graph());
-                    &owned_engine
-                }
-            };
+            let tdg = self.source.graph();
+            let engine = tdg.backward();
             let chains_for = |target: &ServiceId| -> Vec<AttackChain> {
                 recovery_difference(self.class, |class| {
-                    engine.chains_bounded_in(
+                    engine.chains(
                         target,
                         self.chains_per_target,
                         MAX_BACKWARD_PARTIALS,
@@ -876,37 +818,41 @@ mod tests {
     }
 
     #[test]
-    fn backward_crossover_is_result_invariant() {
+    fn backward_auto_matches_naive_on_synthetic_populations() {
         use actfort_ecosystem::synth::{generate, SynthConfig};
-        // Fixed-seed populations whose Web-eligible counts straddle
-        // BACKWARD_CROSSOVER: 185 (below → Auto serves naive), 210 and
-        // 220 (at/above → Auto serves the engine). Whichever side the
-        // dispatcher lands on, the chains are identical across all
-        // engines. The raw sizes are chosen so the naive BFS is cheap on
-        // every population (the blowup is density-dependent; these seeds
-        // are verified fast and `generate` is deterministic).
+        // Fixed-seed populations of 185, 210 and 220 Web-eligible
+        // services (`generate` is deterministic). `Auto` must finish
+        // every probed target. Where the naive BFS finishes too, the
+        // chains are equal; where it hits its budget (synth-152 at 210),
+        // its list is a truncation and proves nothing.
         for (raw, eligible) in [(200usize, 185usize), (225, 210), (235, 220)] {
             let specs = generate(raw, 5, &SynthConfig::default());
             let tdg = Tdg::build(&specs, Platform::Web, ap());
             assert_eq!(tdg.node_count(), eligible, "population drifted, re-pick test sizes");
-            let targets: Vec<ServiceId> = (0..eligible)
-                .step_by(eligible / 3)
-                .map(|i| tdg.spec(i).id.clone())
-                .collect();
-            for target in &targets {
-                let auto =
-                    Analysis::of(&tdg).backward(target).max_chains(4).run().unwrap();
-                for engine in [Engine::Prepared, Engine::Naive] {
-                    let explicit = Analysis::of(&tdg)
-                        .backward(target)
-                        .max_chains(4)
-                        .engine(engine)
-                        .run()
-                        .unwrap();
-                    assert_eq!(auto, explicit, "n={eligible} {target} {engine:?}");
+            for i in (0..eligible).step_by(eligible / 3) {
+                let target = &tdg.spec(i).id;
+                let query = || Analysis::of(&tdg).backward(target).max_chains(4);
+                let auto = query().run().unwrap();
+                let (naive, exhaustive) = query().engine(Engine::Naive).run_bounded().unwrap();
+                if exhaustive {
+                    assert_eq!(auto, naive, "n={eligible} {target}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn paper_mobile_target_is_answered_exhaustively_by_the_engine() {
+        // On this target the naive BFS runs out of its default budget, so
+        // a graph source must answer through the graph's engine.
+        let specs = actfort_ecosystem::synth::paper_population(2021);
+        let tdg = Tdg::build(&specs, Platform::MobileApp, ap());
+        let target: ServiceId = "synth-051".into();
+        let (chains, exhaustive) = Analysis::of(&tdg).backward(&target).run_bounded().unwrap();
+        assert!(exhaustive, "the engine finishes {target} within the default budget");
+        assert!(!chains.is_empty());
+        let expected = tdg.backward().chains(&target, 8, MAX_BACKWARD_PARTIALS, EdgeClass::All);
+        assert_eq!((chains, exhaustive), expected);
     }
 
     #[test]
@@ -921,6 +867,21 @@ mod tests {
             Analysis::of(&tdg).backward(&"paypal".into()).run_bounded().unwrap();
         assert!(exhaustive);
         assert!(full.len() >= chains.len());
+    }
+
+    #[test]
+    fn run_refuses_a_cut_search_and_names_the_budget() {
+        let specs = curated_services();
+        let tdg = Tdg::build(&specs, Platform::Web, ap());
+        let target: ServiceId = "paypal".into();
+        for engine in [Engine::Auto, Engine::Naive] {
+            let query = || Analysis::of(&tdg).backward(&target).engine(engine).budget(2);
+            let err = query().run().expect_err("a cut search is not an answer");
+            assert_eq!(err.code(), crate::error::CODE_QUERY, "{engine:?}");
+            assert!(err.to_string().contains("budget of 2 partial states"), "{err}");
+            let (_, exhaustive) = query().run_bounded().unwrap();
+            assert!(!exhaustive, "{engine:?}: run_bounded keeps the partial answer");
+        }
     }
 
     #[test]

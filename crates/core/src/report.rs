@@ -2,14 +2,14 @@
 //! operator: how their account can fall, through whom, and which of the
 //! paper's countermeasures would help.
 
-use crate::backward::BackwardEngine;
+use crate::analysis::MAX_BACKWARD_PARTIALS;
 use crate::pool::attack_paths;
 use crate::profile::AttackerProfile;
 use crate::strategy::StrategyEngine;
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::info::Masking;
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -62,7 +62,6 @@ pub struct RiskAssessment {
 /// Assesses every service on `platform`.
 pub fn assess(specs: &[ServiceSpec], platform: Platform, ap: &AttackerProfile) -> Vec<RiskAssessment> {
     let tdg = Tdg::build(specs, platform, *ap);
-    let backward = BackwardEngine::new(&tdg);
     let fwd = crate::metrics::profile_forward(specs, platform, ap);
     let mut out = Vec::with_capacity(tdg.node_count());
     for i in 0..tdg.node_count() {
@@ -74,8 +73,10 @@ pub fn assess(specs: &[ServiceSpec], platform: Platform, ap: &AttackerProfile) -
             Some(_) => RiskLevel::Elevated,
             None => RiskLevel::Robust,
         };
-        let example_chain = backward
-            .chains(&spec.id, 1)
+        let example_chain = tdg
+            .backward()
+            .chains(&spec.id, 1, MAX_BACKWARD_PARTIALS, EdgeClass::All)
+            .0
             .into_iter()
             .next()
             .map(|c| StrategyEngine::render_chain(&c));

@@ -1,12 +1,11 @@
 //! The strategy engine — §III-E's two queries behind one API.
 
-use crate::analysis::{AttackChain, ForwardResult};
-use crate::backward::BackwardEngine;
+use crate::analysis::{AttackChain, ForwardResult, MAX_BACKWARD_PARTIALS};
 use crate::profile::AttackerProfile;
 use crate::query::Analysis;
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use std::fmt::Write as _;
 
@@ -14,16 +13,13 @@ use std::fmt::Write as _;
 #[derive(Debug)]
 pub struct StrategyEngine {
     tdg: Tdg,
-    backward: BackwardEngine,
 }
 
 impl StrategyEngine {
-    /// Builds the engine (constructing the TDG and the backward query
-    /// engine — with its per-graph fringe-support memo — once).
+    /// Builds the engine (constructing the TDG once; its backward query
+    /// engine is built on the first backward query).
     pub fn new(specs: Vec<ServiceSpec>, platform: Platform, ap: AttackerProfile) -> Self {
-        let tdg = Tdg::build(&specs, platform, ap);
-        let backward = BackwardEngine::new(&tdg);
-        Self { tdg, backward }
+        Self { tdg: Tdg::build(&specs, platform, ap) }
     }
 
     /// The underlying dependency graph.
@@ -51,10 +47,11 @@ impl StrategyEngine {
 
     /// Query 2 — backward: attack chains reaching `target` from
     /// phone+SMS-only fringe nodes, best (shortest) first. Served by the
-    /// pre-built [`BackwardEngine`], so repeated queries over the same
-    /// snapshot reuse the graph index and fringe-support memo.
+    /// graph's own [`crate::BackwardEngine`], so repeated queries over
+    /// the same snapshot reuse the graph index and fringe-support memo.
+    /// Unknown targets yield no chains.
     pub fn backward_query(&self, target: &ServiceId, max_chains: usize) -> Vec<AttackChain> {
-        self.backward.chains(target, max_chains)
+        self.tdg.backward().chains(target, max_chains, MAX_BACKWARD_PARTIALS, EdgeClass::All).0
     }
 
     /// Alias of [`Self::backward_query`] kept for the original API.

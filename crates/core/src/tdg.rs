@@ -7,6 +7,7 @@
 //! jointly satisfying a path produce *weak-directivity edges* recorded in
 //! the Couple File (Definitions 2–3).
 
+use crate::backward::BackwardEngine;
 use crate::pool::{attack_paths, attack_paths_in, path_satisfied, InfoPool};
 use crate::prepared::Prepared;
 use crate::profile::AttackerProfile;
@@ -15,7 +16,7 @@ use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum couple group size searched (the combinatorial cut-off).
 pub const MAX_COUPLE_SIZE: usize = 3;
@@ -42,11 +43,15 @@ pub struct CoupleEntry {
 /// `(population, platform, profile)` triple — built once here, shared by
 /// every forward query routed through the graph (and by batch sweeps,
 /// via the `Arc`). The platform-filtered spec list lives inside the
-/// substrate; the graph no longer keeps its own copy.
+/// substrate; the graph no longer keeps its own copy. It also owns the
+/// [`BackwardEngine`] every backward query runs, built on first use
+/// ([`Tdg::backward`]), so graphs that only answer forward queries
+/// never pay for it.
 #[derive(Debug, Clone)]
 pub struct Tdg {
     platform: Platform,
     prepared: Arc<Prepared>,
+    backward: OnceLock<BackwardEngine>,
     ap: AttackerProfile,
     fringe: Vec<bool>,
     /// Fringe membership when only login-class paths count.
@@ -211,7 +216,17 @@ impl Tdg {
             strong_login[target] = parents.values().copied().collect();
         }
 
-        Self { platform, prepared, ap, fringe, fringe_login, strong, strong_login, couples }
+        Self {
+            platform,
+            prepared,
+            backward: OnceLock::new(),
+            ap,
+            fringe,
+            fringe_login,
+            strong,
+            strong_login,
+            couples,
+        }
     }
 
     /// The platform this graph describes.
@@ -243,6 +258,12 @@ impl Tdg {
     /// the forward fast path, shareable across threads.
     pub fn prepared(&self) -> &Arc<Prepared> {
         &self.prepared
+    }
+
+    /// The backward query engine over this graph, built on the first
+    /// call and shared by every later one (and by clones of the graph).
+    pub fn backward(&self) -> &BackwardEngine {
+        self.backward.get_or_init(|| BackwardEngine::new(self))
     }
 
     /// Index of a service id.

@@ -13,13 +13,13 @@
 //! 4. no chain visits the same service twice;
 //! 5. every chain ends at the requested target.
 
-use actfort_core::analysis::AttackChain;
+use actfort_core::analysis::{AttackChain, MAX_BACKWARD_PARTIALS};
 use actfort_core::backward::BackwardEngine;
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
 use actfort_core::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
-use actfort_ecosystem::policy::Platform;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::synth::{generate, SynthConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -125,7 +125,8 @@ proptest! {
                 .run_bounded()
                 .expect("valid query");
             prop_assume!(exhaustive);
-            let fast = engine.chains(&target_id, max_chains);
+            let (fast, _) =
+                engine.chains(&target_id, max_chains, MAX_BACKWARD_PARTIALS, EdgeClass::All);
             prop_assert_eq!(
                 fast, naive,
                 "engine and naive disagree for {} (n={}, seed={}, {:?}, max_chains={})",

@@ -7,11 +7,12 @@
 //! own test binary and serialize through [`obs_lock`].
 
 use actfort_core::profile::AttackerProfile;
-use actfort_core::query::{Analysis, BACKWARD_CROSSOVER};
-use actfort_core::{obs, ForwardResult, Tdg};
+use actfort_core::query::{Analysis, Engine};
+use actfort_core::{obs, Countermeasure, EdgeClass, ForwardResult, Tdg};
 use actfort_ecosystem::dataset::curated_services;
+use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::Platform;
-use actfort_ecosystem::synth::{generate, paper_population, SynthConfig};
+use actfort_ecosystem::synth::paper_population;
 use std::sync::{Mutex, MutexGuard};
 
 const SEED: u64 = 2021;
@@ -290,50 +291,48 @@ fn campaign_span_tree_shape_is_pinned() {
 }
 
 #[test]
-fn backward_auto_dispatch_flips_at_the_crossover() {
+fn one_graph_builds_its_backward_engine_once() {
     let _g = obs_lock();
-    let count = |name: &str, f: &dyn Fn()| {
+    let builds = |f: &dyn Fn()| {
         obs::reset();
         obs::set_enabled(true);
         f();
         obs::set_enabled(false);
-        let n = obs::snapshot().counters.get(name).copied().unwrap_or(0);
+        let snap = obs::snapshot();
         obs::reset();
-        n
+        snap.spans
+            .iter()
+            .filter(|(path, _)| path.ends_with("backward.build"))
+            .map(|(_, stat)| stat.count)
+            .sum::<u64>()
     };
     let ap = AttackerProfile::paper_default();
-
-    // Curated (44 eligible) is far below the crossover: naive side.
     let specs = curated_services();
-    let below = Tdg::build(&specs, Platform::Web, ap);
-    assert!(below.node_count() < BACKWARD_CROSSOVER);
-    let n = count("analysis.backward_dispatch_naive", &|| {
-        Analysis::of(&below).backward(&"paypal".into()).run().unwrap();
-    });
-    assert_eq!(n, 1, "below the crossover Auto must dispatch the naive BFS");
+    let target: ServiceId = "paypal".into();
 
-    // This fixed-seed synthetic population has 210 Web-eligible
-    // services — exactly at the crossover: engine side.
-    let specs = generate(225, 5, &SynthConfig::default());
-    let at = Tdg::build(&specs, Platform::Web, ap);
-    assert!(at.node_count() >= BACKWARD_CROSSOVER);
-    let target = at.spec(0).id.clone();
-    let n = count("analysis.backward_dispatch_engine", &|| {
-        Analysis::of(&at).backward(&target).run().unwrap();
+    // Auto, Prepared, both class searches of a RecoveryOnly query and a
+    // what-if's severed-chain lookups all run the graph's one engine.
+    let tdg = Tdg::build(&specs, Platform::Web, ap);
+    let n = builds(&|| {
+        Analysis::of(&tdg).backward(&target).run().unwrap();
+        Analysis::of(&tdg).backward(&target).engine(Engine::Prepared).run().unwrap();
+        Analysis::of(&tdg)
+            .backward(&target)
+            .edge_class(EdgeClass::RecoveryOnly)
+            .run()
+            .unwrap();
+        let report = Analysis::of(&tdg).whatif(Countermeasure::all()).run().unwrap();
+        assert!(!report.severed.is_empty(), "the what-if collected severed chains");
     });
-    assert_eq!(n, 1, "at the crossover Auto must dispatch the best-first engine");
+    assert_eq!(n, 1, "one graph, one backward engine");
 
-    // Explicit engines and `via` never touch the dispatch counters.
-    let engine = actfort_core::BackwardEngine::new(&below);
-    for counter in ["analysis.backward_dispatch_naive", "analysis.backward_dispatch_engine"] {
-        let n = count(counter, &|| {
-            Analysis::of(&below)
-                .backward(&"paypal".into())
-                .engine(actfort_core::Engine::Prepared)
-                .run()
-                .unwrap();
-            Analysis::of(&below).backward(&"paypal".into()).via(&engine).run().unwrap();
-        });
-        assert_eq!(n, 0, "{counter} must stay untouched by explicit/via routing");
-    }
+    // A raw-source RecoveryOnly query builds one graph for both searches.
+    let n = builds(&|| {
+        Analysis::over(&specs, Platform::Web, ap)
+            .backward(&target)
+            .edge_class(EdgeClass::RecoveryOnly)
+            .run()
+            .unwrap();
+    });
+    assert_eq!(n, 1, "a raw-source query builds one engine");
 }

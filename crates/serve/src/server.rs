@@ -20,7 +20,7 @@ use crate::snapshot::{Dataset, SnapshotStore};
 use crate::wire;
 use actfort_core::batch::BatchAnalyzer;
 use actfort_core::profile::AttackerProfile;
-use actfort_core::query::{Analysis, Engine};
+use actfort_core::query::Analysis;
 use actfort_core::{obs, Error};
 use actfort_ecosystem::policy::Platform;
 use std::net::{SocketAddr, TcpListener};
@@ -483,11 +483,6 @@ fn backward(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Respo
                     .max_chains(request.max_chains)
                     .engine(request.common.engine)
                     .edge_class(request.common.edge_class);
-                if request.common.engine != Engine::Naive {
-                    // The snapshot's prewarmed engine amortizes graph
-                    // flattening and the fringe-support memo.
-                    query = query.via(&snapshot.backward);
-                }
                 if let Some(budget) = budget {
                     query = query.budget(budget);
                 }
@@ -606,13 +601,13 @@ fn whatif(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Respons
             let reports = {
                 let _compute = obs::span(obs_names::COMPUTE_SPAN);
                 // Both modes route through the snapshot's shared patcher
-                // (compiled-patch cache) and prewarmed backward engine:
-                // nothing here ever recompiles the prepared substrate.
+                // (compiled-patch cache) and the graph's prewarmed backward
+                // engine: nothing here ever recompiles the prepared
+                // substrate.
                 let evaluate = |set: &[actfort_core::Countermeasure]| {
                     Analysis::of(&snapshot.tdg)
                         .whatif(set)
                         .patcher(&snapshot.patcher)
-                        .via(&snapshot.backward)
                         .edge_class(request.common.edge_class)
                         .max_severed(request.severed_chains)
                         .run()

@@ -1,7 +1,7 @@
 //! Immutable ecosystem snapshots with atomic hot-swap.
 //!
 //! A [`Snapshot`] freezes everything a query needs — the service specs,
-//! the built [`Tdg`] and a prewarmed [`BackwardEngine`] — under one
+//! the built [`Tdg`] with its backward engine prewarmed — under one
 //! monotonically increasing generation number. Handlers grab an
 //! `Arc<Snapshot>` once per request and use only that, so a concurrent
 //! reload can never produce a torn response: every byte of a response is
@@ -79,9 +79,10 @@ pub struct Snapshot {
     pub specs: Vec<ServiceSpec>,
     /// The dependency graph, built once per generation.
     pub tdg: Tdg,
-    /// A prewarmed backward engine; queries route through it via the
-    /// facade's `via()` so graph flattening and the fringe-support memo
-    /// amortize across requests.
+    /// A handle on the graph's backward engine ([`Tdg::backward`]),
+    /// built here so no request pays for it. Queries reach the same
+    /// engine through `tdg`; the field stays for `perfbench`, which
+    /// fills it itself.
     pub backward: BackwardEngine,
     /// A countermeasure patcher over the graph's prepared substrate:
     /// `/whatif` queries route through it so blast-radius planning and
@@ -101,7 +102,7 @@ impl Snapshot {
     ) -> Self {
         let specs = dataset.specs();
         let tdg = Tdg::build(&specs, platform, profile);
-        let backward = BackwardEngine::new(&tdg);
+        let backward = tdg.backward().clone();
         let patcher = Patcher::new(Arc::clone(tdg.prepared()));
         Self { generation, dataset, platform, profile, specs, tdg, backward, patcher }
     }

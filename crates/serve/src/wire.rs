@@ -9,7 +9,7 @@
 //! property the response cache and the concurrency tests lean on.
 
 use crate::server::CODE_SERVE_BODY_TOO_DEEP;
-use actfort_core::analysis::{AttackChain, ForwardResult};
+use actfort_core::analysis::{AttackChain, ForwardResult, MAX_BACKWARD_PARTIALS};
 use actfort_core::metrics::DepthBreakdown;
 use actfort_core::obs::json::{self, Json, ParseError};
 use actfort_core::query::Engine;
@@ -38,7 +38,8 @@ pub struct RequestCommon {
     /// Edge-class filter (`"all"` / `"login_only"` / `"recovery_only"`,
     /// default all edges).
     pub edge_class: EdgeClass,
-    /// Explicit partial budget, if given (backward search only).
+    /// Explicit partial budget, if given (backward search only; at most
+    /// [`MAX_BACKWARD_PARTIALS`]).
     pub budget: Option<usize>,
     /// Request deadline in milliseconds, if given.
     pub deadline_ms: Option<u64>,
@@ -48,14 +49,14 @@ impl RequestCommon {
     /// The partial budget the engine should run under: an explicit
     /// `budget` wins; otherwise a `deadline_ms` is translated at
     /// `partials_per_ms` (the server's calibration, default
-    /// [`DEADLINE_PARTIALS_PER_MS`]); otherwise `None` (engine
-    /// default).
+    /// [`DEADLINE_PARTIALS_PER_MS`]) and clamped to
+    /// [`MAX_BACKWARD_PARTIALS`]; otherwise `None` (engine default).
     pub fn effective_budget(&self, partials_per_ms: usize) -> Option<usize> {
         self.budget.or_else(|| {
             self.deadline_ms.map(|ms| {
                 (usize::try_from(ms).unwrap_or(usize::MAX))
                     .saturating_mul(partials_per_ms)
-                    .max(1)
+                    .clamp(1, MAX_BACKWARD_PARTIALS)
             })
         })
     }
@@ -235,19 +236,30 @@ pub fn parse_forward(body: &[u8]) -> Result<ForwardRequest, Error> {
 ///
 /// # Errors
 ///
-/// [`Error::Query`] on malformed JSON, mistyped fields or a missing
-/// target.
+/// [`Error::Query`] on malformed JSON, mistyped fields, a missing
+/// target, the naive engine (an in-process reference oracle whose cost
+/// grows with the budget, not a served engine) or a `budget` above
+/// [`MAX_BACKWARD_PARTIALS`].
 pub fn parse_backward(body: &[u8]) -> Result<BackwardRequest, Error> {
     let doc = parse_body(body)?;
     let target = match doc.get("target") {
         Some(Json::Str(s)) => ServiceId::new(s),
         _ => return Err(Error::Query("\"target\" must be a service id string".into())),
     };
-    Ok(BackwardRequest {
-        target,
-        max_chains: field_usize(&doc, "max_chains")?.unwrap_or(8),
-        common: parse_common(&doc)?,
-    })
+    let max_chains = field_usize(&doc, "max_chains")?.unwrap_or(8);
+    let common = parse_common(&doc)?;
+    if common.engine == Engine::Naive {
+        return Err(Error::Query(
+            "engine \"naive\" is not served for backward queries (expected \"auto\" or \"prepared\")"
+                .into(),
+        ));
+    }
+    if let Some(budget) = common.budget.filter(|&b| b > MAX_BACKWARD_PARTIALS) {
+        return Err(Error::Query(format!(
+            "\"budget\" {budget} exceeds the limit of {MAX_BACKWARD_PARTIALS} partial states"
+        )));
+    }
+    Ok(BackwardRequest { target, max_chains, common })
 }
 
 fn parse_profile(item: &Json, index: usize) -> Result<UserProfile, Error> {
@@ -640,6 +652,16 @@ mod tests {
             req.common.effective_budget(DEADLINE_PARTIALS_PER_MS),
             Some(2 * DEADLINE_PARTIALS_PER_MS)
         );
+        // A deadline-derived budget is clamped to the cap an explicit
+        // budget may not exceed.
+        let req = parse_backward(br#"{"target":"alipay","deadline_ms":9007199254740992}"#)
+            .expect("parses");
+        assert_eq!(
+            req.common.effective_budget(DEADLINE_PARTIALS_PER_MS),
+            Some(MAX_BACKWARD_PARTIALS)
+        );
+        let at_cap = format!(r#"{{"target":"alipay","budget":{MAX_BACKWARD_PARTIALS}}}"#);
+        assert!(parse_backward(at_cap.as_bytes()).is_ok(), "the cap itself is allowed");
         let req = parse_backward(br#"{"target":"alipay"}"#).expect("parses");
         assert_eq!(req.common.effective_budget(DEADLINE_PARTIALS_PER_MS), None);
         assert_eq!(req.max_chains, 8);

@@ -16,7 +16,10 @@
 //! 6. a body nested past `json::MAX_DEPTH` — 10,000 `[`, or 10,000
 //!    levels of `{"a":` — is a `400` with `CODE_SERVE_BODY_TOO_DEEP` on
 //!    every analysis route at both spellings and on `/admin/reload`,
-//!    and the server keeps answering on other connections.
+//!    and the server keeps answering on other connections;
+//! 7. `/backward` refuses the naive reference engine and a `budget`
+//!    above `MAX_BACKWARD_PARTIALS` with the query discriminant, at both
+//!    spellings.
 //!
 //! The obs recorder is process-global, so tests serialize behind one
 //! mutex.
@@ -205,6 +208,43 @@ fn retired_incremental_engine_rejects_at_both_spellings() {
 
     handle.shutdown();
     actfort_core::obs::set_enabled(false);
+}
+
+/// Posts `body` to `/backward` and `/v1/backward`; each must refuse it
+/// with `400` and `CODE_QUERY`, with `needle` in the message.
+fn assert_backward_rejects(body: &[u8], needle: &str) {
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for path in ["/backward", "/v1/backward"] {
+        let resp = client.post(path, body).expect("request");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.text());
+        assert_eq!(
+            error_field(&resp, "code").as_num(),
+            Some(f64::from(actfort_core::error::CODE_QUERY)),
+            "{path}"
+        );
+        let message = error_field(&resp, "message");
+        let message = message.as_str().expect("error message is a string");
+        assert!(message.contains(needle), "{path}: {message}");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn naive_backward_engine_rejects_at_both_spellings() {
+    let _g = lock();
+    assert_backward_rejects(
+        br#"{"target":"paypal","engine":"naive"}"#,
+        r#"engine "naive" is not served for backward queries"#,
+    );
+}
+
+#[test]
+fn backward_budget_above_the_cap_rejects_at_both_spellings() {
+    let _g = lock();
+    let cap = actfort_core::analysis::MAX_BACKWARD_PARTIALS;
+    let body = format!(r#"{{"target":"paypal","budget":{}}}"#, cap + 1);
+    assert_backward_rejects(body.as_bytes(), &format!("exceeds the limit of {cap}"));
 }
 
 /// Posts `body` to every analysis route at both spellings and to
