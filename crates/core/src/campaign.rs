@@ -35,10 +35,41 @@ use actfort_obs as obs;
 /// informative.
 const MAX_CASCADE_SEEDS: usize = 16;
 
+/// Most accounts one victim holds (see [`victim_ranks`]).
+const MAX_HELD: usize = 11;
+
+/// The population's service ids in ascending order, and each spec's
+/// rank in that order. Ids are unique within a population, so sorting
+/// and deduplicating ranks sorts and deduplicates the ids themselves.
+struct IdRanks<'a> {
+    /// `sorted[r]` is the id of rank `r`.
+    sorted: Vec<&'a ServiceId>,
+    /// `rank[i]` is the rank of `specs[i]`.
+    rank: Vec<u32>,
+}
+
+impl<'a> IdRanks<'a> {
+    fn of(specs: &'a [ServiceSpec]) -> Self {
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_unstable_by_key(|&i| &specs[i].id);
+        let mut rank = vec![0u32; specs.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r as u32;
+        }
+        Self { sorted: order.iter().map(|&i| &specs[i].id).collect(), rank }
+    }
+
+    /// The ids of ascending ranks, cloned once each.
+    fn ids(&self, ranks: &[u32]) -> Vec<ServiceId> {
+        ranks.iter().map(|&r| self.sorted[r as usize].clone()).collect()
+    }
+}
+
 /// Services a victim holds, as a deterministic function of the campaign
-/// seed and the subscriber id — between 4 and 11 accounts drawn from
-/// the population (the paper's user study median is 8).
-fn victim_profile(seed: u64, subscriber: u32, specs: &[ServiceSpec]) -> UserProfile {
+/// seed and the subscriber id — between 4 and [`MAX_HELD`] accounts
+/// drawn from the population (the paper's user study median is 8).
+/// Returned as id ranks, ascending and distinct, in `ranks[..len]`.
+fn victim_ranks(seed: u64, subscriber: u32, ids: &IdRanks) -> ([u32; MAX_HELD], usize) {
     let mut state = seed ^ (u64::from(subscriber) << 32) ^ 0x76c7_1211;
     let mut draw = || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -48,12 +79,19 @@ fn victim_profile(seed: u64, subscriber: u32, specs: &[ServiceSpec]) -> UserProf
         z ^ (z >> 31)
     };
     let count = 4 + (draw() % 8) as usize;
-    let mut services: Vec<ServiceId> = (0..count)
-        .map(|_| specs[(draw() % specs.len() as u64) as usize].id.clone())
-        .collect();
-    services.sort();
-    services.dedup();
-    UserProfile::new(services, OverlayFactor::ALL)
+    let mut ranks = [0u32; MAX_HELD];
+    for r in &mut ranks[..count] {
+        *r = ids.rank[(draw() % ids.rank.len() as u64) as usize];
+    }
+    ranks[..count].sort_unstable();
+    let mut len = 0;
+    for k in 0..count {
+        if len == 0 || ranks[len - 1] != ranks[k] {
+            ranks[len] = ranks[k];
+            len += 1;
+        }
+    }
+    (ranks, len)
 }
 
 /// One victim's assessment: radio-level exposure joined with
@@ -113,22 +151,43 @@ pub fn assess(
     assert!(!specs.is_empty(), "campaign assessment needs a population");
 
     // Radio-level exposure per victim, in subscriber order (the
-    // report's `compromised` list is already ascending and distinct).
+    // report's `compromised` list is already ascending and distinct),
+    // tallied through a dense subscriber → slot table.
     let mut exposure: Vec<(u32, u32, u32)> =
         report.compromised.iter().map(|&s| (s, 0u32, 0u32)).collect();
+    let mut slot_of = vec![u32::MAX; report.compromised.last().map_or(0, |&s| s as usize + 1)];
+    for (slot, &s) in report.compromised.iter().enumerate() {
+        slot_of[s as usize] = slot as u32;
+    }
     for i in &report.interceptions {
-        let slot = exposure
-            .binary_search_by_key(&i.subscriber, |e| e.0)
-            .expect("interception subscriber missing from compromised list");
+        let slot = slot_of
+            .get(i.subscriber as usize)
+            .copied()
+            .filter(|&slot| slot != u32::MAX)
+            .expect("interception subscriber missing from compromised list")
+            as usize;
         match i.kind {
             InterceptKind::Sniffed { .. } => exposure[slot].1 += 1,
             InterceptKind::Mitm { .. } => exposure[slot].2 += 1,
         }
     }
 
+    // Fully diverted victims hand the attacker their whole SMS channel:
+    // their services are footholds the cascade starts from (marked by
+    // id rank, so the seeds come out sorted and distinct).
+    let ids = IdRanks::of(specs);
+    let mut foothold = vec![false; specs.len()];
     let profiles: Vec<UserProfile> = exposure
         .iter()
-        .map(|&(sub, _, _)| victim_profile(report.seed, sub, specs))
+        .map(|&(sub, _, diverted)| {
+            let (ranks, len) = victim_ranks(report.seed, sub, &ids);
+            if diverted > 0 {
+                for &r in &ranks[..len] {
+                    foothold[r as usize] = true;
+                }
+            }
+            UserProfile::new(ids.ids(&ranks[..len]), OverlayFactor::ALL)
+        })
         .collect();
     obs::add("campaign.victims_scored", profiles.len() as u64);
 
@@ -137,17 +196,9 @@ pub fn assess(
         .trace("campaign.score")
         .run()?;
 
-    // Fully diverted victims hand the attacker their whole SMS channel:
-    // their services are footholds the cascade starts from.
-    let mut cascade_seeds: Vec<ServiceId> = exposure
-        .iter()
-        .zip(&profiles)
-        .filter(|((_, _, diverted), _)| *diverted > 0)
-        .flat_map(|(_, p)| p.services.iter().cloned())
-        .collect();
-    cascade_seeds.sort();
-    cascade_seeds.dedup();
-    cascade_seeds.truncate(MAX_CASCADE_SEEDS);
+    let seed_ranks: Vec<u32> =
+        (0..specs.len() as u32).filter(|&r| foothold[r as usize]).take(MAX_CASCADE_SEEDS).collect();
+    let cascade_seeds = ids.ids(&seed_ranks);
 
     let (cascade_compromised, cascade_rounds) = if cascade_seeds.is_empty() {
         (0, 0)
@@ -188,6 +239,8 @@ pub fn assess(
 mod tests {
     use super::*;
     use actfort_ecosystem::dataset::curated_services;
+    use actfort_ecosystem::policy::EdgeClass;
+    use actfort_ecosystem::synth::paper_population;
     use actfort_gsm::campaign::{run, CampaignConfig};
 
     fn small_campaign() -> CampaignReport {
@@ -200,6 +253,123 @@ mod tests {
             mitm_stations: 2,
             ..CampaignConfig::default()
         })
+    }
+
+    /// The victim draw as first written: clone the drawn ids, then
+    /// string-sort and deduplicate them.
+    fn victim_profile_reference(seed: u64, subscriber: u32, specs: &[ServiceSpec]) -> UserProfile {
+        let mut state = seed ^ (u64::from(subscriber) << 32) ^ 0x76c7_1211;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let count = 4 + (draw() % 8) as usize;
+        let mut services: Vec<ServiceId> = (0..count)
+            .map(|_| specs[(draw() % specs.len() as u64) as usize].id.clone())
+            .collect();
+        services.sort();
+        services.dedup();
+        UserProfile::new(services, OverlayFactor::ALL)
+    }
+
+    /// The assessment as first written: binary-searched exposure,
+    /// string-sorted profiles, each resolved by [`Prepared::overlay`] and
+    /// scored one at a time by the scalar fixed point.
+    fn assess_reference(
+        report: &CampaignReport,
+        specs: &[ServiceSpec],
+        platform: Platform,
+        ap: AttackerProfile,
+    ) -> CampaignImpact {
+        let mut exposure: Vec<(u32, u32, u32)> =
+            report.compromised.iter().map(|&s| (s, 0u32, 0u32)).collect();
+        for i in &report.interceptions {
+            let slot = exposure.binary_search_by_key(&i.subscriber, |e| e.0).unwrap();
+            match i.kind {
+                InterceptKind::Sniffed { .. } => exposure[slot].1 += 1,
+                InterceptKind::Mitm { .. } => exposure[slot].2 += 1,
+            }
+        }
+        let profiles: Vec<UserProfile> = exposure
+            .iter()
+            .map(|&(sub, _, _)| victim_profile_reference(report.seed, sub, specs))
+            .collect();
+        let prepared = crate::Prepared::new(specs, platform, ap);
+        let mut scratch = prepared.scratch();
+        let scores: Vec<UserScore> = profiles
+            .iter()
+            .map(|p| {
+                let overlay = prepared.overlay(&p.services, p.factors);
+                prepared.score_one(&overlay, &mut scratch, EdgeClass::All)
+            })
+            .collect();
+        let mut cascade_seeds: Vec<ServiceId> = exposure
+            .iter()
+            .zip(&profiles)
+            .filter(|((_, _, diverted), _)| *diverted > 0)
+            .flat_map(|(_, p)| p.services.iter().cloned())
+            .collect();
+        cascade_seeds.sort();
+        cascade_seeds.dedup();
+        cascade_seeds.truncate(MAX_CASCADE_SEEDS);
+        let (cascade_compromised, cascade_rounds) = if cascade_seeds.is_empty() {
+            (0, 0)
+        } else {
+            let result = prepared.forward(&mut scratch, EdgeClass::All, &cascade_seeds, true);
+            (result.compromised_count() as u32, (result.rounds.len() - 1) as u32)
+        };
+        let victims: Vec<VictimImpact> = exposure
+            .iter()
+            .zip(profiles)
+            .zip(scores)
+            .map(|((&(subscriber, sniffed, diverted), profile), score)| VictimImpact {
+                subscriber,
+                sniffed,
+                diverted,
+                services: profile.services,
+                score,
+            })
+            .collect();
+        CampaignImpact {
+            total_blast_radius: victims.iter().map(|v| u64::from(v.score.blast_radius)).sum(),
+            max_blast_radius: victims.iter().map(|v| v.score.blast_radius).max().unwrap_or(0),
+            max_chain_depth: victims.iter().map(|v| v.score.weakest_chain).max().unwrap_or(0),
+            victims,
+            cascade_seeds,
+            cascade_compromised,
+            cascade_rounds,
+        }
+    }
+
+    #[test]
+    fn victim_ranks_draw_the_reference_services() {
+        let seed = CampaignConfig::default().seed;
+        for specs in [curated_services(), paper_population(2021)] {
+            let ids = IdRanks::of(&specs);
+            for subscriber in 0..20_000 {
+                let (ranks, len) = victim_ranks(seed, subscriber, &ids);
+                assert_eq!(
+                    ids.ids(&ranks[..len]),
+                    victim_profile_reference(seed, subscriber, &specs).services,
+                    "subscriber {subscriber} over {} services",
+                    specs.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn assessment_matches_the_reference_on_both_platforms() {
+        let report = small_campaign();
+        let specs = curated_services();
+        let ap = AttackerProfile::paper_default();
+        for platform in [Platform::Web, Platform::MobileApp] {
+            let impact = assess(&report, &specs, platform, ap).unwrap();
+            assert_eq!(impact, assess_reference(&report, &specs, platform, ap), "{platform:?}");
+        }
     }
 
     #[test]

@@ -64,12 +64,13 @@ use crate::metrics::{breakdown_of, DepthBreakdown};
 use crate::obs;
 use crate::prepared::Prepared;
 use crate::profile::AttackerProfile;
-use crate::score::{UserOverlay, UserProfile, UserScore};
+use crate::score::{UserProfile, UserScore};
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Which implementation serves a query. Results are engine-independent
 /// (property tested); only the work schedule differs.
@@ -125,9 +126,14 @@ impl Source<'_> {
     }
 
     /// Whether `id` names any service in the population (on any
-    /// platform — platform eligibility is the engines' concern).
+    /// platform — platform eligibility is the engines' concern). A
+    /// graph source holds only its platform's services and answers from
+    /// the substrate's id map.
     fn knows(&self, id: &ServiceId) -> bool {
-        self.specs().iter().any(|s| &s.id == id)
+        match self {
+            Source::Graph(tdg) => tdg.index_of(id).is_some(),
+            Source::Raw { specs, .. } => specs.iter().any(|s| &s.id == id),
+        }
     }
 
     /// Runs `f` against the prepared substrate: a graph source already
@@ -143,11 +149,11 @@ impl Source<'_> {
 
     /// The substrate as a shareable handle: a graph source clones its
     /// existing `Arc`, a raw source compiles one here.
-    fn substrate_arc(&self) -> std::sync::Arc<Prepared> {
+    fn substrate_arc(&self) -> Arc<Prepared> {
         match self {
-            Source::Graph(tdg) => std::sync::Arc::clone(tdg.prepared()),
+            Source::Graph(tdg) => Arc::clone(tdg.prepared()),
             Source::Raw { specs, platform, ap } => {
-                std::sync::Arc::new(Prepared::new(specs, *platform, *ap))
+                Arc::new(Prepared::new(specs, *platform, *ap))
             }
         }
     }
@@ -408,22 +414,23 @@ impl<'a> ScoreQuery<'a> {
     }
 
     /// Runs the query, returning one [`UserScore`] per profile in input
-    /// order. Fails with [`Error::UnknownService`] if any profile holds
-    /// a service absent from the population.
+    /// order. Fails with [`Error::UnknownService`] naming the first held
+    /// service (profile order, then service order) absent from the
+    /// population; services the platform filters out contribute
+    /// nothing. A graph source's population is its platform's services
+    /// only, so there a filtered-out name is unknown.
+    ///
+    /// Every name is validated and resolved to its node id in one pass,
+    /// by one hashed lookup in an index built once per query from the
+    /// source's specs (`Prepared::overlays`): the cost per name does
+    /// not grow with the population.
     pub fn run(&self) -> Result<Vec<UserScore>, Error> {
-        for profile in self.profiles {
-            if let Some(id) = profile.services.iter().find(|s| !self.source.knows(s)) {
-                return Err(Error::UnknownService(id.to_string()));
-            }
-        }
         let _span = self.trace.map(obs::span);
-        Ok(self.source.with_substrate(|prepared| {
-            let overlays: Vec<UserOverlay> = self
-                .profiles
-                .iter()
-                .map(|u| prepared.overlay(&u.services, u.factors))
-                .collect();
-            if self.engine != Engine::Naive {
+        self.source.with_substrate(|prepared| {
+            let overlays = prepared
+                .overlays(self.source.specs(), self.profiles)
+                .map_err(|id| Error::UnknownService(id.to_string()))?;
+            Ok(if self.engine != Engine::Naive {
                 obs::add("analysis.dispatch_score", 1);
                 let mut scratch = prepared.overlay_scratch();
                 prepared.score_users(&overlays, &mut scratch, self.class)
@@ -434,8 +441,8 @@ impl<'a> ScoreQuery<'a> {
                     .iter()
                     .map(|ov| prepared.score_one(ov, &mut scratch, self.class))
                     .collect()
-            }
-        }))
+            })
+        })
     }
 }
 
@@ -703,7 +710,12 @@ impl<'a> WhatifQuery<'a> {
             .collect();
         let mut severed = Vec::new();
         if self.max_severed > 0 && self.chains_per_target > 0 && !protected.is_empty() {
-            let tdg = self.source.graph();
+            let tdg = match (&self.source, self.patcher) {
+                // The raw source's substrate was compiled for the
+                // patcher above: build the graph over it, not a second.
+                (Source::Raw { .. }, None) => Cow::Owned(Tdg::from_prepared(Arc::clone(base))),
+                _ => self.source.graph(),
+            };
             let engine = tdg.backward();
             let chains_for = |target: &ServiceId| -> Vec<AttackChain> {
                 recovery_difference(self.class, |class| {
@@ -941,6 +953,37 @@ mod tests {
     }
 
     #[test]
+    fn score_resolves_names_on_both_sources() {
+        let specs = curated_services();
+        let tdg = Tdg::build(&specs, Platform::Web, ap());
+        let held = |ids: &[&str]| UserProfile::full(ids.iter().map(|&id| id.into()).collect());
+
+        // The first unknown id is named, even in a later profile.
+        let bad = [held(&["gmail"]), held(&["gmail", "ghost-2", "ghost-3"])];
+        for analysis in [Analysis::over(&specs, Platform::Web, ap()), Analysis::of(&tdg)] {
+            let err = analysis.score_users(&bad).run().expect_err("unknown service");
+            assert_eq!(err, Error::UnknownService("ghost-2".into()));
+        }
+
+        // `wechat` is in the population but not on the web: the raw
+        // source ignores it, the web graph does not know it.
+        let with_wechat = [held(&["gmail", "wechat"])];
+        let gmail_only = [held(&["gmail"])];
+        let raw = |profiles| {
+            Analysis::over(&specs, Platform::Web, ap()).score_users(profiles).run()
+        };
+        assert_eq!(raw(&with_wechat).unwrap(), raw(&gmail_only).unwrap());
+        assert_eq!(
+            Analysis::of(&tdg).score_users(&with_wechat).run(),
+            Err(Error::UnknownService("wechat".into()))
+        );
+        assert_eq!(
+            Analysis::of(&tdg).score_users(&gmail_only).run().unwrap(),
+            raw(&gmail_only).unwrap()
+        );
+    }
+
+    #[test]
     fn whatif_matches_counter_evaluate() {
         use crate::counter::{self, Patcher};
         let specs = curated_services();
@@ -968,7 +1011,7 @@ mod tests {
             // Graph source with a shared patcher + backward engine (the
             // sweep configuration) answers identically.
             let tdg = Tdg::build(&specs, platform, ap());
-            let patcher = Patcher::new(std::sync::Arc::clone(tdg.prepared()));
+            let patcher = Patcher::new(Arc::clone(tdg.prepared()));
             let engine = BackwardEngine::new(&tdg);
             let shared = Analysis::of(&tdg)
                 .whatif(&cms)
@@ -988,7 +1031,7 @@ mod tests {
         let specs = curated_services();
         let tdg = Tdg::build(&specs, Platform::Web, ap());
         let other = Tdg::build(&specs, Platform::MobileApp, ap());
-        let patcher = Patcher::new(std::sync::Arc::clone(other.prepared()));
+        let patcher = Patcher::new(Arc::clone(other.prepared()));
         let err = Analysis::of(&tdg)
             .whatif(&[])
             .patcher(&patcher)

@@ -49,6 +49,8 @@ use crate::obs;
 use crate::prepared::{bit, set_bit, ForwardScratch, Prepared, COV_BITS, COV_LENS};
 use actfort_ecosystem::factor::{CredentialFactor, ServiceId};
 use actfort_ecosystem::policy::EdgeClass;
+use actfort_ecosystem::spec::ServiceSpec;
+use std::collections::HashMap;
 
 /// Bit-per-factor-kind constants for [`UserOverlay::factors`] /
 /// [`UserProfile::factors`]: the set of credential factor kinds a user
@@ -143,6 +145,11 @@ pub struct UserOverlay {
 }
 
 impl UserOverlay {
+    /// A user holding nothing yet on a substrate of `node_count` nodes.
+    fn empty(node_count: usize, factors: u16) -> Self {
+        Self { held: vec![0u64; node_count.div_ceil(64)], factors: factors & OverlayFactor::ALL }
+    }
+
     /// Whether the user holds the service with this node id.
     pub fn holds(&self, node: u32) -> bool {
         bit(&self.held, node)
@@ -268,24 +275,52 @@ impl Prepared {
     /// platform filtered out); population membership is validated at
     /// the `Analysis::score` facade.
     pub fn overlay(&self, services: &[ServiceId], factors: u16) -> UserOverlay {
-        let mut held = vec![0u64; self.node_count().div_ceil(64)];
+        let mut overlay = UserOverlay::empty(self.node_count(), factors);
         for id in services {
             if let Some(&i) = self.ids.get(id) {
-                set_bit(&mut held, i);
+                set_bit(&mut overlay.held, i);
             }
         }
-        UserOverlay { held, factors: factors & OverlayFactor::ALL }
+        overlay
+    }
+
+    /// Resolves a batch of profiles in one pass: one hashed lookup per
+    /// name, in an index built here from `population` (the specs this
+    /// substrate was compiled from, or its own). Names the platform
+    /// filtered out contribute nothing, as in [`Prepared::overlay`].
+    /// Fails with the first name, in profile order then service order,
+    /// that `population` does not hold.
+    pub(crate) fn overlays<'p>(
+        &self,
+        population: &[ServiceSpec],
+        profiles: &'p [UserProfile],
+    ) -> Result<Vec<UserOverlay>, &'p ServiceId> {
+        let index: HashMap<&str, Option<u32>> =
+            population.iter().map(|s| (s.id.as_str(), self.ids.get(&s.id).copied())).collect();
+        let mut overlays = Vec::with_capacity(profiles.len());
+        for profile in profiles {
+            let mut overlay = UserOverlay::empty(self.node_count(), profile.factors);
+            for id in &profile.services {
+                match index.get(id.as_str()) {
+                    Some(&Some(node)) => set_bit(&mut overlay.held, node),
+                    Some(None) => {}
+                    None => return Err(id),
+                }
+            }
+            overlays.push(overlay);
+        }
+        Ok(overlays)
     }
 
     /// An overlay holding *every* service of the population — with
     /// [`OverlayFactor::ALL`] this reproduces the plain single-ecosystem
     /// [`Prepared::forward`] exactly.
     pub fn overlay_all(&self, factors: u16) -> UserOverlay {
-        let mut held = vec![0u64; self.node_count().div_ceil(64)];
+        let mut overlay = UserOverlay::empty(self.node_count(), factors);
         for i in 0..self.node_count() as u32 {
-            set_bit(&mut held, i);
+            set_bit(&mut overlay.held, i);
         }
-        UserOverlay { held, factors: factors & OverlayFactor::ALL }
+        overlay
     }
 
     /// A scratch pre-sized for this substrate.

@@ -93,7 +93,13 @@ fn contributes_partially(
 impl Tdg {
     /// Builds the TDG for every spec present on `platform`.
     pub fn build(specs: &[ServiceSpec], platform: Platform, ap: AttackerProfile) -> Self {
-        let prepared = Arc::new(Prepared::new(specs, platform, ap));
+        Self::from_prepared(Arc::new(Prepared::new(specs, platform, ap)))
+    }
+
+    /// Builds the TDG over an already compiled substrate, taking its
+    /// population, platform and attacker profile.
+    pub(crate) fn from_prepared(prepared: Arc<Prepared>) -> Self {
+        let (platform, ap) = (prepared.platform(), prepared.attacker_profile());
         let specs = prepared.specs();
         let n = specs.len();
         let empty_pool = InfoPool::new();
@@ -266,9 +272,9 @@ impl Tdg {
         self.backward.get_or_init(|| BackwardEngine::new(self))
     }
 
-    /// Index of a service id.
+    /// Index of a service id (a lookup in the substrate's id map).
     pub fn index_of(&self, id: &ServiceId) -> Option<usize> {
-        self.specs().iter().position(|s| &s.id == id)
+        self.prepared.ids.get(id).map(|&i| i as usize)
     }
 
     /// Whether the node falls to the attacker profile alone (red node in
@@ -386,6 +392,21 @@ mod tests {
                 "{}: fringe classification mismatch",
                 spec.id
             );
+        }
+    }
+
+    #[test]
+    fn index_of_agrees_with_a_position_scan() {
+        let paper = actfort_ecosystem::synth::paper_population(2021);
+        for specs in [curated_services(), paper] {
+            for platform in [Platform::Web, Platform::MobileApp] {
+                let g = Tdg::build(&specs, platform, AttackerProfile::paper_default());
+                let ids = specs.iter().map(|s| s.id.clone()).chain(["ghost".into()]);
+                for id in ids {
+                    let scan = g.specs().iter().position(|s| s.id == id);
+                    assert_eq!(g.index_of(&id), scan, "{id} on {platform}");
+                }
+            }
         }
     }
 

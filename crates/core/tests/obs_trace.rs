@@ -336,3 +336,21 @@ fn one_graph_builds_its_backward_engine_once() {
     });
     assert_eq!(n, 1, "a raw-source query builds one engine");
 }
+
+#[test]
+fn raw_source_whatif_compiles_one_substrate() {
+    let _g = obs_lock();
+    let specs = curated_services();
+    obs::reset();
+    obs::set_enabled(true);
+    let report = Analysis::over(&specs, Platform::Web, AttackerProfile::paper_default())
+        .whatif(Countermeasure::all())
+        .run()
+        .unwrap();
+    obs::set_enabled(false);
+    let snap = obs::snapshot();
+    obs::reset();
+    assert!(!report.severed.is_empty(), "the what-if collected severed chains");
+    // The patcher and the severed-chain graph share one compilation.
+    assert_eq!(snap.counters.get("engine.prepares").copied().unwrap_or(0), 1);
+}

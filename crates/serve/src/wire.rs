@@ -729,7 +729,8 @@ mod tests {
         // Every wire spelling round-trips.
         for cm in Countermeasure::all() {
             let body = format!(r#"{{"countermeasures":["{}"]}}"#, cm.wire_name());
-            let req = parse_whatif(body.as_bytes()).expect(cm.wire_name());
+            let req = parse_whatif(body.as_bytes())
+                .unwrap_or_else(|e| panic!("{}: {e:?}", cm.wire_name()));
             assert_eq!(req.countermeasures, vec![*cm]);
         }
 
