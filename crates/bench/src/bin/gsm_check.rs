@@ -1,8 +1,10 @@
 //! Schema check for `BENCH_gsm.json` (the `gsm_campaign` artifact), in
 //! the style of `trace_check`: the file must parse as JSON, hold a
 //! `"campaign"` section, and that section must expose every required
-//! numeric field with a sane value. Exits non-zero (panics) on any
-//! mismatch, so CI can chain it after the campaign run.
+//! numeric field with a sane value; an optional `"skipped"` field (the
+//! throughput gate could not run) must give a non-empty reason. Exits
+//! non-zero (panics) on any mismatch, so CI can chain it after the
+//! campaign run.
 //!
 //! ```sh
 //! cargo run -p actfort-bench --bin gsm_campaign -- --out BENCH_gsm.json
@@ -29,6 +31,9 @@ const REQUIRED: &[&str] = &[
     "victims",
     "total_blast_radius",
     "cascade_compromised",
+    "paper_total_blast_radius",
+    "paper_cascade_compromised",
+    "paper_assess_ns",
     "attach_outlier_cells",
     "paging_outlier_cells",
 ];
@@ -69,11 +74,25 @@ fn main() {
         "{path}: interception split does not add up"
     );
     assert!(num("victims") <= num("subscribers"), "{path}: more victims than subscribers");
+    // The paper-scale assessment scored the same victims; a harvest
+    // with victims compromises something there too.
+    assert!(
+        num("victims") == 0.0 || num("paper_total_blast_radius") > 0.0,
+        "{path}: victims but no paper-scale blast radius"
+    );
+    assert!(num("paper_assess_ns") > 0.0, "{path}: paper assessment took no time");
+    // A skipped throughput gate names its reason.
+    let skipped = campaign.get("skipped").map(|v| {
+        v.as_str()
+            .filter(|reason| !reason.trim().is_empty())
+            .unwrap_or_else(|| panic!("{path}: campaign.skipped must be a non-empty reason"))
+    });
     println!(
-        "{path}: ok ({} fields, {:.1}M frames/s single-core, {:.1}M frames/s on {} shards)",
+        "{path}: ok ({} fields, {:.1}M frames/s single-core, {:.1}M frames/s on {} shards{})",
         REQUIRED.len(),
         recorded / 1e6,
         num("frames_per_sec_sharded") / 1e6,
         num("shards"),
+        skipped.map_or(String::new(), |reason| format!("; gate skipped: {reason}")),
     );
 }

@@ -5,27 +5,27 @@
 //! subscribers had SMS sniffed or diverted, when and where. This module
 //! converts that harvest into the paper's account-ecosystem questions:
 //!
-//! - **Per-victim blast radius** — each compromised subscriber becomes
-//!   a deterministic [`UserProfile`] over the service population and is
-//!   scored through [`Analysis::score_users`], which compiles the
-//!   shared [`crate::Prepared`] substrate **once** for the whole victim
-//!   batch.
+//! - **Per-victim blast radius** — each compromised subscriber holds a
+//!   deterministic set of the population's services, set directly as
+//!   node bits of a [`UserOverlay`](crate::score::UserOverlay) and
+//!   scored 64 victims per sweep by [`Prepared::score_users`].
 //! - **Ecosystem cascade** — the distinct services held by fully
 //!   diverted victims (MitM captures, where the attacker owns the SMS
-//!   channel outright) seed one [`Analysis::forward`] fixed point on
+//!   channel outright) seed one [`Prepared::forward`] fixed point on
 //!   the same population, measuring how far the harvest propagates
 //!   beyond the victims themselves.
 //!
-//! Victim profiles are a pure function of `(campaign seed, subscriber
-//! id)`, so the whole assessment is as deterministic as the campaign
-//! report feeding it.
+//! Both run on **one** [`Prepared`] substrate compiled per call. Victim
+//! holdings are a pure function of `(campaign seed, subscriber id)`, so
+//! the whole assessment is as deterministic as the campaign report
+//! feeding it.
 
 use crate::error::Error;
+use crate::prepared::{set_bit, Prepared};
 use crate::profile::AttackerProfile;
-use crate::query::Analysis;
-use crate::score::{OverlayFactor, UserProfile, UserScore};
-use actfort_ecosystem::policy::Platform;
+use crate::score::{OverlayFactor, UserScore};
 use actfort_ecosystem::factor::ServiceId;
+use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_gsm::campaign::{CampaignReport, InterceptKind};
 use actfort_obs as obs;
@@ -41,25 +41,25 @@ const MAX_HELD: usize = 11;
 /// The population's service ids in ascending order, and each spec's
 /// rank in that order. Ids are unique within a population, so sorting
 /// and deduplicating ranks sorts and deduplicates the ids themselves.
-struct IdRanks<'a> {
-    /// `sorted[r]` is the id of rank `r`.
-    sorted: Vec<&'a ServiceId>,
+struct IdRanks {
+    /// `sorted[r]` is the id of rank `r`, cloned once per call.
+    sorted: Vec<ServiceId>,
     /// `rank[i]` is the rank of `specs[i]`.
     rank: Vec<u32>,
 }
 
-impl<'a> IdRanks<'a> {
-    fn of(specs: &'a [ServiceSpec]) -> Self {
+impl IdRanks {
+    fn of(specs: &[ServiceSpec]) -> Self {
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_unstable_by_key(|&i| &specs[i].id);
         let mut rank = vec![0u32; specs.len()];
         for (r, &i) in order.iter().enumerate() {
             rank[i] = r as u32;
         }
-        Self { sorted: order.iter().map(|&i| &specs[i].id).collect(), rank }
+        Self { sorted: order.iter().map(|&i| specs[i].id.clone()).collect(), rank }
     }
 
-    /// The ids of ascending ranks, cloned once each.
+    /// The ids of ascending ranks.
     fn ids(&self, ranks: &[u32]) -> Vec<ServiceId> {
         ranks.iter().map(|&r| self.sorted[r as usize].clone()).collect()
     }
@@ -68,8 +68,18 @@ impl<'a> IdRanks<'a> {
 /// Services a victim holds, as a deterministic function of the campaign
 /// seed and the subscriber id — between 4 and [`MAX_HELD`] accounts
 /// drawn from the population (the paper's user study median is 8).
-/// Returned as id ranks, ascending and distinct, in `ranks[..len]`.
-fn victim_ranks(seed: u64, subscriber: u32, ids: &IdRanks) -> ([u32; MAX_HELD], usize) {
+/// Returned as id ranks, ascending and distinct, in `ranks[..len]`;
+/// the rest of `ranks` is zero.
+///
+/// `seen` is a bitset over ranks, all clear on entry and on return: the
+/// draws are sorted and deduplicated by setting their bits and reading
+/// them back in order, which costs no mispredicted compare per draw.
+fn victim_ranks(
+    seed: u64,
+    subscriber: u32,
+    ids: &IdRanks,
+    seen: &mut [u64],
+) -> ([u32; MAX_HELD], usize) {
     let mut state = seed ^ (u64::from(subscriber) << 32) ^ 0x76c7_1211;
     let mut draw = || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -79,15 +89,16 @@ fn victim_ranks(seed: u64, subscriber: u32, ids: &IdRanks) -> ([u32; MAX_HELD], 
         z ^ (z >> 31)
     };
     let count = 4 + (draw() % 8) as usize;
-    let mut ranks = [0u32; MAX_HELD];
-    for r in &mut ranks[..count] {
-        *r = ids.rank[(draw() % ids.rank.len() as u64) as usize];
+    for _ in 0..count {
+        set_bit(seen, ids.rank[(draw() % ids.rank.len() as u64) as usize]);
     }
-    ranks[..count].sort_unstable();
+    let mut ranks = [0u32; MAX_HELD];
     let mut len = 0;
-    for k in 0..count {
-        if len == 0 || ranks[len - 1] != ranks[k] {
-            ranks[len] = ranks[k];
+    for (w, word) in seen.iter_mut().enumerate() {
+        let mut m = std::mem::take(word);
+        while m != 0 {
+            ranks[len] = ((w as u32) << 6) | m.trailing_zeros();
+            m &= m - 1;
             len += 1;
         }
     }
@@ -104,10 +115,19 @@ pub struct VictimImpact {
     pub sniffed: u32,
     /// SMS diverted actively (fake base station).
     pub diverted: u32,
-    /// Services this victim holds (the profile that was scored).
-    pub services: Vec<ServiceId>,
+    /// The services this victim holds (the profile that was scored), as
+    /// ascending ranks into the impact's id list in `held[..held_len]`;
+    /// read them through [`CampaignImpact::services`].
+    held: [u32; MAX_HELD],
+    held_len: u8,
     /// The victim's score on the shared substrate.
     pub score: UserScore,
+}
+
+impl VictimImpact {
+    fn ranks(&self) -> &[u32] {
+        &self.held[..usize::from(self.held_len)]
+    }
 }
 
 /// The ecosystem-level outcome of a campaign.
@@ -128,19 +148,34 @@ pub struct CampaignImpact {
     pub cascade_compromised: u32,
     /// Rounds the cascade ran (`0` when no seeds).
     pub cascade_rounds: u32,
+    /// The population's service ids in ascending order; each victim's
+    /// holdings index it.
+    ids: Vec<ServiceId>,
+}
+
+impl CampaignImpact {
+    /// The services `victim` (one of [`CampaignImpact::victims`]) holds,
+    /// ascending by id.
+    pub fn services<'a>(
+        &'a self,
+        victim: &'a VictimImpact,
+    ) -> impl ExactSizeIterator<Item = &'a ServiceId> + 'a {
+        victim.ranks().iter().map(|&r| &self.ids[r as usize])
+    }
 }
 
 /// Scores a campaign harvest against a service population.
 ///
-/// The substrate is compiled twice in total — once for the victim
-/// batch (however many victims), once for the cascade — matching the
-/// one-`Prepared`-per-batch contract of the [`Analysis`] facade.
+/// The substrate is compiled once per call and shared by the victim
+/// batch (however many victims) and the cascade. Victim holdings never
+/// pass through names: each draw is a set of id ranks, and each rank
+/// maps to its node (or to none, when the platform filters the service
+/// out) once per call.
 ///
 /// # Errors
 ///
-/// Propagates [`Error::UnknownService`] from the facade; impossible
-/// when profiles are generated from `specs` itself (they always are
-/// here), but kept in the signature for wire parity.
+/// None today: every victim holds services drawn from `specs` itself.
+/// The `Result` keeps the signature of the facade queries.
 pub fn assess(
     report: &CampaignReport,
     specs: &[ServiceSpec],
@@ -172,29 +207,50 @@ pub fn assess(
         }
     }
 
+    let prepared = Prepared::new(specs, platform, ap);
+    let ids = IdRanks::of(specs);
+    // Each id rank's node, or `None` where the platform filters the
+    // service out (it then contributes nothing, as in `Prepared::overlay`).
+    let node_of: Vec<Option<u32>> =
+        ids.sorted.iter().map(|id| prepared.ids.get(id).copied()).collect();
+
     // Fully diverted victims hand the attacker their whole SMS channel:
     // their services are footholds the cascade starts from (marked by
     // id rank, so the seeds come out sorted and distinct).
-    let ids = IdRanks::of(specs);
     let mut foothold = vec![false; specs.len()];
-    let profiles: Vec<UserProfile> = exposure
-        .iter()
-        .map(|&(sub, _, diverted)| {
-            let (ranks, len) = victim_ranks(report.seed, sub, &ids);
-            if diverted > 0 {
-                for &r in &ranks[..len] {
-                    foothold[r as usize] = true;
-                }
+    let mut seen = vec![0u64; specs.len().div_ceil(64)];
+    let mut victims = Vec::with_capacity(exposure.len());
+    let mut overlays = Vec::with_capacity(exposure.len());
+    for &(subscriber, sniffed, diverted) in &exposure {
+        let (held, len) = victim_ranks(report.seed, subscriber, &ids, &mut seen);
+        let mut overlay = prepared.overlay(&[], OverlayFactor::ALL);
+        for &r in &held[..len] {
+            if let Some(node) = node_of[r as usize] {
+                overlay.hold(node);
             }
-            UserProfile::new(ids.ids(&ranks[..len]), OverlayFactor::ALL)
-        })
-        .collect();
-    obs::add("campaign.victims_scored", profiles.len() as u64);
+            if diverted > 0 {
+                foothold[r as usize] = true;
+            }
+        }
+        overlays.push(overlay);
+        victims.push(VictimImpact {
+            subscriber,
+            sniffed,
+            diverted,
+            held,
+            held_len: len as u8,
+            score: UserScore::default(),
+        });
+    }
+    obs::add("campaign.victims_scored", victims.len() as u64);
 
-    let scores = Analysis::over(specs, platform, ap)
-        .score_users(&profiles)
-        .trace("campaign.score")
-        .run()?;
+    let scores = {
+        let _span = obs::span("campaign.score");
+        prepared.score_users(&overlays, &mut prepared.overlay_scratch(), EdgeClass::All)
+    };
+    for (victim, score) in victims.iter_mut().zip(scores) {
+        victim.score = score;
+    }
 
     let seed_ranks: Vec<u32> =
         (0..specs.len() as u32).filter(|&r| foothold[r as usize]).take(MAX_CASCADE_SEEDS).collect();
@@ -203,26 +259,12 @@ pub fn assess(
     let (cascade_compromised, cascade_rounds) = if cascade_seeds.is_empty() {
         (0, 0)
     } else {
-        let result = Analysis::over(specs, platform, ap)
-            .forward(&cascade_seeds)
-            .trace("campaign.cascade")
-            .run()?;
+        let _span = obs::span("campaign.cascade");
+        let result =
+            prepared.forward(&mut prepared.scratch(), EdgeClass::All, &cascade_seeds, true);
         (result.compromised_count() as u32, (result.rounds.len() - 1) as u32)
     };
     obs::add("campaign.cascade_compromised", u64::from(cascade_compromised));
-
-    let victims: Vec<VictimImpact> = exposure
-        .iter()
-        .zip(profiles)
-        .zip(scores)
-        .map(|((&(subscriber, sniffed, diverted), profile), score)| VictimImpact {
-            subscriber,
-            sniffed,
-            diverted,
-            services: profile.services,
-            score,
-        })
-        .collect();
 
     Ok(CampaignImpact {
         total_blast_radius: victims.iter().map(|v| u64::from(v.score.blast_radius)).sum(),
@@ -232,14 +274,15 @@ pub fn assess(
         cascade_seeds,
         cascade_compromised,
         cascade_rounds,
+        ids: ids.sorted,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::UserProfile;
     use actfort_ecosystem::dataset::curated_services;
-    use actfort_ecosystem::policy::EdgeClass;
     use actfort_ecosystem::synth::paper_population;
     use actfort_gsm::campaign::{run, CampaignConfig};
 
@@ -275,15 +318,25 @@ mod tests {
         UserProfile::new(services, OverlayFactor::ALL)
     }
 
+    /// A victim as the reference assessment reports it: exposure,
+    /// held names, score.
+    type ReferenceVictim = (u32, u32, u32, Vec<ServiceId>, UserScore);
+
+    /// The reference assessment's output: victims, then
+    /// `(total, max blast radius, max chain depth)`, then the cascade
+    /// `(seeds, compromised, rounds)`.
+    type Reference = (Vec<ReferenceVictim>, (u64, u32, u32), (Vec<ServiceId>, u32, u32));
+
     /// The assessment as first written: binary-searched exposure,
-    /// string-sorted profiles, each resolved by [`Prepared::overlay`] and
-    /// scored one at a time by the scalar fixed point.
+    /// string-sorted name profiles, each resolved by
+    /// [`Prepared::overlay`] and scored one at a time by the scalar
+    /// fixed point.
     fn assess_reference(
         report: &CampaignReport,
         specs: &[ServiceSpec],
         platform: Platform,
         ap: AttackerProfile,
-    ) -> CampaignImpact {
+    ) -> Reference {
         let mut exposure: Vec<(u32, u32, u32)> =
             report.compromised.iter().map(|&s| (s, 0u32, 0u32)).collect();
         for i in &report.interceptions {
@@ -297,7 +350,7 @@ mod tests {
             .iter()
             .map(|&(sub, _, _)| victim_profile_reference(report.seed, sub, specs))
             .collect();
-        let prepared = crate::Prepared::new(specs, platform, ap);
+        let prepared = Prepared::new(specs, platform, ap);
         let mut scratch = prepared.scratch();
         let scores: Vec<UserScore> = profiles
             .iter()
@@ -321,27 +374,38 @@ mod tests {
             let result = prepared.forward(&mut scratch, EdgeClass::All, &cascade_seeds, true);
             (result.compromised_count() as u32, (result.rounds.len() - 1) as u32)
         };
-        let victims: Vec<VictimImpact> = exposure
+        let victims: Vec<ReferenceVictim> = exposure
             .iter()
             .zip(profiles)
             .zip(scores)
-            .map(|((&(subscriber, sniffed, diverted), profile), score)| VictimImpact {
-                subscriber,
-                sniffed,
-                diverted,
-                services: profile.services,
-                score,
+            .map(|((&(subscriber, sniffed, diverted), profile), score)| {
+                (subscriber, sniffed, diverted, profile.services, score)
             })
             .collect();
-        CampaignImpact {
-            total_blast_radius: victims.iter().map(|v| u64::from(v.score.blast_radius)).sum(),
-            max_blast_radius: victims.iter().map(|v| v.score.blast_radius).max().unwrap_or(0),
-            max_chain_depth: victims.iter().map(|v| v.score.weakest_chain).max().unwrap_or(0),
+        let totals = (
+            victims.iter().map(|v| u64::from(v.4.blast_radius)).sum(),
+            victims.iter().map(|v| v.4.blast_radius).max().unwrap_or(0),
+            victims.iter().map(|v| v.4.weakest_chain).max().unwrap_or(0),
+        );
+        (victims, totals, (cascade_seeds, cascade_compromised, cascade_rounds))
+    }
+
+    /// An impact in the reference's shape, each victim's services read
+    /// through [`CampaignImpact::services`].
+    fn as_reference(impact: &CampaignImpact) -> Reference {
+        let victims = impact
+            .victims
+            .iter()
+            .map(|v| {
+                let services = impact.services(v).cloned().collect();
+                (v.subscriber, v.sniffed, v.diverted, services, v.score)
+            })
+            .collect();
+        (
             victims,
-            cascade_seeds,
-            cascade_compromised,
-            cascade_rounds,
-        }
+            (impact.total_blast_radius, impact.max_blast_radius, impact.max_chain_depth),
+            (impact.cascade_seeds.clone(), impact.cascade_compromised, impact.cascade_rounds),
+        )
     }
 
     #[test]
@@ -349,8 +413,9 @@ mod tests {
         let seed = CampaignConfig::default().seed;
         for specs in [curated_services(), paper_population(2021)] {
             let ids = IdRanks::of(&specs);
+            let mut seen = vec![0u64; specs.len().div_ceil(64)];
             for subscriber in 0..20_000 {
-                let (ranks, len) = victim_ranks(seed, subscriber, &ids);
+                let (ranks, len) = victim_ranks(seed, subscriber, &ids, &mut seen);
                 assert_eq!(
                     ids.ids(&ranks[..len]),
                     victim_profile_reference(seed, subscriber, &specs).services,
@@ -364,11 +429,17 @@ mod tests {
     #[test]
     fn assessment_matches_the_reference_on_both_platforms() {
         let report = small_campaign();
-        let specs = curated_services();
         let ap = AttackerProfile::paper_default();
-        for platform in [Platform::Web, Platform::MobileApp] {
-            let impact = assess(&report, &specs, platform, ap).unwrap();
-            assert_eq!(impact, assess_reference(&report, &specs, platform, ap), "{platform:?}");
+        for specs in [curated_services(), paper_population(2021)] {
+            for platform in [Platform::Web, Platform::MobileApp] {
+                let impact = assess(&report, &specs, platform, ap).unwrap();
+                assert_eq!(
+                    as_reference(&impact),
+                    assess_reference(&report, &specs, platform, ap),
+                    "{platform:?} over {} services",
+                    specs.len()
+                );
+            }
         }
     }
 
@@ -384,7 +455,7 @@ mod tests {
         assert_eq!(subs, report.compromised, "victims in subscriber order");
         for v in &impact.victims {
             assert!(v.sniffed + v.diverted > 0, "victim with no interceptions");
-            assert!(!v.services.is_empty());
+            assert_ne!(impact.services(v).len(), 0, "victim holds nothing");
         }
         assert!(impact.total_blast_radius > 0, "someone must lose something");
     }

@@ -263,10 +263,9 @@ fn campaign_span_tree_shape_is_pinned() {
             "campaign.assess/campaign.cascade/forward.prepared/absorb",
             "campaign.assess/campaign.cascade/forward.prepared/evaluate",
             "campaign.assess/campaign.cascade/forward.prepared/min_providers",
-            "campaign.assess/campaign.cascade/prepare",
             "campaign.assess/campaign.score",
-            "campaign.assess/campaign.score/prepare",
             "campaign.assess/campaign.score/score.lanes",
+            "campaign.assess/prepare",
             "gsm.campaign.run",
         ],
         "campaign span tree changed shape"
@@ -277,12 +276,14 @@ fn campaign_span_tree_shape_is_pinned() {
     assert_eq!(c("gsm.campaign.frames"), report.totals.frames);
     assert_eq!(c("gsm.campaign.interceptions"), report.interceptions.len() as u64);
     assert_eq!(c("gsm.campaign.captures"), report.totals.captures);
-    // One victim batch on the lane engine with one prepare for the
-    // whole batch (never per victim), plus one prepare and one run for
-    // the cascade.
-    assert_eq!(c("campaign.victims_scored"), report.compromised.len() as u64);
-    assert_eq!(c("analysis.dispatch_score"), 1);
-    assert_eq!(c("engine.prepares"), 2, "one compile for the victim batch, one for the cascade");
+    // One prepare for the whole assessment (never per victim), shared
+    // by every victim on the lane engine, 64 per sweep, and by the one
+    // cascade run.
+    let victims = report.compromised.len() as u64;
+    assert_eq!(c("campaign.victims_scored"), victims);
+    assert_eq!(c("score.users"), victims);
+    assert_eq!(c("score.batches"), victims.div_ceil(64));
+    assert_eq!(c("engine.prepares"), 1, "one compile for the victim batch and the cascade");
     assert_eq!(c("engine.runs"), 1);
 
     // Same seed, same trace: the deterministic JSON is byte-identical.
