@@ -29,10 +29,10 @@ cargo run --release -q -p actfort-bench --bin backward_smoke
 echo "==> batch smoke: shared-substrate sweep speedup (skips on <4 threads)"
 cargo run --release -q -p actfort-bench --bin batch_check
 
-echo "==> serve smoke: concurrent load + keep-alive/pipelining + forward p50 < 10 ms + hostile bodies (10k-deep -> 400/2403, 1 MiB string -> 400, naive backward -> 400/11; each 400 and /healthz < 1 s) + /metrics trace_check"
+echo "==> serve smoke: concurrent forward/backward/score/whatif load + keep-alive/pipelining + forward p50 < 10 ms + hostile bodies (10k-deep -> 400/2403, 1 MiB string -> 400, naive backward -> 400/11; each 400 and /healthz < 1 s) + /metrics trace_check"
 cargo run --release -q -p actfort-bench --bin serve_smoke -- --metrics-out "$trace_tmp/serve_metrics.json"
 cargo run --release -q -p actfort-bench --bin trace_check -- "$trace_tmp/serve_metrics.json" \
-    serve.forward serve.backward
+    serve.forward serve.backward serve.score serve.whatif
 
 echo "==> score throughput gate: 64-lane sweep >= 1M user-scores/min single-core"
 cargo run --release -q -p actfort-bench --bin score_sweep -- --users 65536 \

@@ -83,7 +83,7 @@ fn bench_engines(c: &mut Criterion) {
         // iteration — the cold single-query cost, the worst case for it.
         g.bench_with_input(BenchmarkId::new("prepared", n), &specs, |b, specs| {
             b.iter(|| {
-                black_box(forward_with_engine(specs, Platform::Web, &ap, &[], Engine::Prepared))
+                black_box(forward_with_engine(specs, Platform::Web, &ap, &[], Engine::Auto))
             })
         });
     }
@@ -145,7 +145,7 @@ fn bench_batch(c: &mut Criterion) {
     let sweep = |n: usize| {
         Analysis::of(&tdg)
             .forward(&[])
-            .engine(Engine::Prepared)
+            .engine(Engine::Auto)
             .threads(n)
             .run_each(&sets)
             .expect("valid batch query")
@@ -205,7 +205,7 @@ fn measure_phases(memoized: bool) -> String {
         let _ = black_box(
             Analysis::over(specs, Platform::Web, ap)
                 .forward(&[])
-                .engine(Engine::Prepared)
+                .engine(Engine::Auto)
                 .memo(memoized)
                 .run()
                 .expect("valid query"),

@@ -44,7 +44,7 @@ fn main() {
     let sweep = |n: usize| {
         Analysis::of(&tdg)
             .forward(&[])
-            .engine(Engine::Prepared)
+            .engine(Engine::Auto)
             .threads(n)
             .run_each(&sets)
             .expect("valid batch query")

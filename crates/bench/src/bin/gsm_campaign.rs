@@ -254,7 +254,7 @@ fn main() {
         report.anomalies.paging_response_outliers.len(),
         skipped = skipped.map_or(String::new(), |reason| format!(", \"skipped\": \"{reason}\"")),
     );
-    splice_section(&out, "campaign", &section);
+    splice_section(&out, "gsm", "campaign", &section);
     println!("gsm_campaign: \"campaign\" section written to {out}");
     finish_trace(trace.as_deref());
 }

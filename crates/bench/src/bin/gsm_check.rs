@@ -1,10 +1,10 @@
 //! Schema check for `BENCH_gsm.json` (the `gsm_campaign` artifact), in
-//! the style of `trace_check`: the file must parse as JSON, hold a
-//! `"campaign"` section, and that section must expose every required
-//! numeric field with a sane value; an optional `"skipped"` field (the
-//! throughput gate could not run) must give a non-empty reason. Exits
-//! non-zero (panics) on any mismatch, so CI can chain it after the
-//! campaign run.
+//! the style of `trace_check`: the file must parse as JSON, be labelled
+//! `"bench": "gsm"`, and hold a `"campaign"` section exposing every
+//! required numeric field with a sane value; an optional `"skipped"`
+//! field (the throughput gate could not run) must give a non-empty
+//! reason. Exits non-zero (panics) on any mismatch, so CI can chain it
+//! after the campaign run.
 //!
 //! ```sh
 //! cargo run -p actfort-bench --bin gsm_campaign -- --out BENCH_gsm.json
@@ -45,6 +45,11 @@ fn main() {
 
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
     let doc = json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
+    assert_eq!(
+        doc.get("bench").and_then(json::Json::as_str),
+        Some("gsm"),
+        "{path} is not labelled \"bench\": \"gsm\""
+    );
     let campaign = doc
         .get("campaign")
         .unwrap_or_else(|| panic!("{path} lacks the \"campaign\" section"));

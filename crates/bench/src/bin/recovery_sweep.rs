@@ -137,6 +137,6 @@ fn main() {
         login.records.len(),
         recovery.records.len(),
     );
-    splice_section(&out, "recovery_sweep", &section);
+    splice_section(&out, "forward", "recovery_sweep", &section);
     println!("recovery_sweep: \"recovery_sweep\" section written to {out}");
 }

@@ -149,6 +149,6 @@ fn main() {
         specs.len(),
         prepared.node_count(),
     );
-    splice_section(&out, "score", &section);
+    splice_section(&out, "forward", "score", &section);
     println!("score_sweep: \"score\" section written to {out}");
 }

@@ -1,8 +1,9 @@
 //! CI smoke test for `actfort-serve`: starts the server in-process on
 //! an ephemeral port over the curated dataset, drives concurrent
-//! forward/backward traffic through the shared `load` driver — a
-//! sequential keep-alive phase, then a pipelined phase whose responses
-//! must match the sequential golden bodies — checks the serving
+//! forward, backward, score and whatif traffic through the shared
+//! `load` driver — a sequential keep-alive phase, then a pipelined
+//! phase whose responses must match the sequential golden bodies —
+//! checks the serving
 //! contract (all 200s, byte-identical bodies, measured cache hits),
 //! gates the forward p50 latency below [`MAX_FORWARD_P50_MS`], posts
 //! three hostile bodies (10,000 `[`, one 1 MiB seed string, and a
@@ -58,12 +59,15 @@ fn main() {
     let handle = start(config).expect("server starts");
     println!("serve_smoke: listening on {}", handle.addr());
 
+    let shot = |path: &str, body: &str| Shot { path: path.to_owned(), body: body.to_owned() };
     let shots = vec![
         Shot::forward(&[]),
         Shot::forward(&["gmail"]),
         Shot::forward(&["gmail", "taobao"]),
         Shot::backward("paypal", 4),
         Shot::backward("taobao", 4),
+        shot("/v1/score", r#"{"profiles":[{"services":["gmail","taobao"]}]}"#),
+        shot("/v1/whatif", r#"{"countermeasures":["built_in_push"]}"#),
     ];
 
     // Phase 1: sequential keep-alive round trips (each connection
@@ -87,10 +91,10 @@ fn main() {
     );
     assert_eq!(report.ok, report.requests, "every smoke request must succeed");
     assert!(report.byte_identical, "identical queries must serve identical bytes");
-    assert!(report.cache_hits > 0, "the forward cache must be hit under repetition");
+    assert!(report.cache_hits > 0, "the response cache must be hit under repetition");
     assert!(
         report.cache_hits + report.cache_misses == report.requests,
-        "forward and backward responses must both carry the cache header"
+        "every analysis response must carry the cache header"
     );
 
     // Golden bodies for the mix, fetched sequentially on one connection.

@@ -23,19 +23,6 @@ use actfort_ecosystem::synth::paper_population;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn subsets() -> Vec<Vec<Countermeasure>> {
-    let all = Countermeasure::all();
-    (0u32..(1 << all.len()))
-        .map(|mask| {
-            all.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, cm)| *cm)
-                .collect()
-        })
-        .collect()
-}
-
 /// A cold recompile of `specs` plus one forward run: the baseline the
 /// patched sweep is checked and timed against.
 fn forward_cold(specs: &[ServiceSpec], ap: AttackerProfile) -> ForwardResult {
@@ -74,7 +61,7 @@ fn main() {
     let plan_started = Instant::now();
     let patcher = Patcher::new(Arc::clone(&base));
     let plan_ns = plan_started.elapsed().as_nanos();
-    let sets = subsets();
+    let sets = Countermeasure::subsets();
 
     // Correctness + observability pass (obs on): every subset's patched
     // result must equal the cold spec-rewrite recompile byte for byte,
@@ -175,6 +162,6 @@ fn main() {
         base.node_count(),
         sets.len(),
     );
-    splice_section(&out, "whatif", &section);
+    splice_section(&out, "forward", "whatif", &section);
     println!("whatif_sweep: \"whatif\" section written to {out}");
 }

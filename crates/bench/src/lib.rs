@@ -76,17 +76,22 @@ pub fn init_trace() -> Option<std::path::PathBuf> {
 /// line, replacing an existing `"<key>"` line (preserving its trailing
 /// comma, so sections after it survive) or appending before the final
 /// brace; the result is re-parsed to prove it is still valid JSON.
-/// `section` must itself be single-line JSON. Shared by every bench bin
-/// that writes a section, so no splicer can corrupt another's section.
+/// `section` must itself be single-line JSON. A missing file starts as
+/// `{"bench": "<bench>"}`. Shared by every bench bin that writes a
+/// section, so no splicer can corrupt another's section.
 ///
 /// # Panics
 ///
-/// Panics when the file is not a `{ ... }` document or the splice
-/// result fails to parse.
-pub fn splice_section(path: &str, key: &str, section: &str) {
+/// Panics when the file is not a `{ ... }` document, when its `"bench"`
+/// label is not `bench` (a section written into another artifact), or
+/// when the splice result fails to parse.
+pub fn splice_section(path: &str, bench: &str, key: &str, section: &str) {
     let line = format!("  \"{key}\": {section}");
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|_| "{\n  \"bench\": \"forward\"\n}\n".to_owned());
+        .unwrap_or_else(|_| format!("{{\n  \"bench\": \"{bench}\"\n}}\n"));
+    let doc = actfort_core::obs::json::parse(&text).ok();
+    let label = doc.as_ref().and_then(|doc| doc.get("bench")?.as_str());
+    assert_eq!(label, Some(bench), "{path} is not a \"{bench}\" bench artifact");
     let marker = format!("\n  \"{key}\":");
     let updated = if let Some(start) = text.find(&marker) {
         let line_end = text[start + 1..].find('\n').map_or(text.len(), |i| start + 1 + i);
@@ -137,17 +142,32 @@ mod tests {
         // replacement must keep the comma that separates it from the
         // second (the bug a serve-only splicer had when anything was
         // appended after its section).
-        splice_section(path, "serve", r#"{"v": 1}"#);
-        splice_section(path, "score", r#"{"v": 2}"#);
-        splice_section(path, "serve", r#"{"v": 3}"#);
+        splice_section(path, "forward", "serve", r#"{"v": 1}"#);
+        splice_section(path, "forward", "score", r#"{"v": 2}"#);
+        splice_section(path, "forward", "serve", r#"{"v": 3}"#);
         let text = std::fs::read_to_string(path).expect("read back");
         let doc = actfort_core::obs::json::parse(&text).expect("valid JSON");
         assert_eq!(doc.get("serve").and_then(|s| s.get("v")).and_then(|v| v.as_num()), Some(3.0));
         assert_eq!(doc.get("score").and_then(|s| s.get("v")).and_then(|v| v.as_num()), Some(2.0));
         // Overwriting the last section keeps it comma-free.
-        splice_section(path, "score", r#"{"v": 4}"#);
+        splice_section(path, "forward", "score", r#"{"v": 4}"#);
         let text = std::fs::read_to_string(path).expect("read back");
         assert!(text.trim_end().ends_with("\"score\": {\"v\": 4}\n}"), "unexpected tail: {text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn splice_section_labels_a_new_file_and_refuses_another_bench() {
+        let dir = std::env::temp_dir().join(format!("actfort-splice-new-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("BENCH_gsm.json");
+        let path = path.to_str().expect("utf-8 path");
+        splice_section(path, "gsm", "campaign", r#"{"v": 1}"#);
+        let text = std::fs::read_to_string(path).expect("read back");
+        assert_eq!(text, "{\n  \"bench\": \"gsm\",\n  \"campaign\": {\"v\": 1}\n}\n");
+        let mislabelled = std::panic::catch_unwind(|| splice_section(path, "forward", "x", "1"));
+        assert!(mislabelled.is_err(), "a forward section must not land in a gsm artifact");
+        assert_eq!(std::fs::read_to_string(path).expect("read back"), text);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

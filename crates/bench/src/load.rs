@@ -16,7 +16,8 @@ use std::time::Instant;
 /// One request in the mix: endpoint path + JSON body.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shot {
-    /// Endpoint path (`/v1/forward`, `/v1/backward`).
+    /// Endpoint path (`/v1/forward`, `/v1/backward`, `/v1/score`,
+    /// `/v1/whatif`).
     pub path: String,
     /// JSON body to POST.
     pub body: String,

@@ -557,7 +557,7 @@ mod tests {
                 let naive = forward_naive(&specs, platform, &ap, &[]);
                 let prepared = Analysis::over(&specs, platform, ap)
                     .forward(&[])
-                    .engine(Engine::Prepared)
+                    .engine(Engine::Auto)
                     .run()
                     .unwrap();
                 assert_eq!(prepared, naive, "n={n} {platform}");

@@ -1,8 +1,7 @@
 //! Best-first backward-query engine — the production implementation
 //! behind the query facade's backward path. Each [`Tdg`] owns one,
-//! built on first use ([`Tdg::backward`]); `Engine::Auto` and
-//! `Engine::Prepared` backward queries both run it at every population
-//! size.
+//! built on first use ([`Tdg::backward`]); every `Engine::Auto`
+//! backward query runs it, at every population size.
 //!
 //! The reference BFS (`Engine::Naive` in the facade) clones
 //! a full `Partial` — step lists, unresolved stack, visited set — on

@@ -58,6 +58,23 @@ impl Countermeasure {
         ]
     }
 
+    /// Every subset of [`Self::all`], 2^|`all()`| sets in mask order: set
+    /// `m` holds `all()[i]` exactly when bit `i` of `m` is set, so the
+    /// first set is empty, the last is `all()`, and each is in canonical
+    /// order.
+    pub fn subsets() -> Vec<Vec<Countermeasure>> {
+        let all = Self::all();
+        (0u32..1 << all.len())
+            .map(|mask| {
+                all.iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, cm)| *cm)
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Stable wire spelling, used by the serve layer and cache keys.
     pub fn wire_name(self) -> &'static str {
         match self {
@@ -406,6 +423,15 @@ mod tests {
 
     fn ap() -> AttackerProfile {
         AttackerProfile::paper_default()
+    }
+
+    #[test]
+    fn subsets_enumerate_every_set_in_mask_order() {
+        let subsets = Countermeasure::subsets();
+        assert_eq!(subsets.len(), 32, "five countermeasures, 2^5 sets");
+        assert!(subsets[0].is_empty());
+        assert_eq!(subsets[2], [Countermeasure::HardenEmail], "bit 1 is all()[1]");
+        assert_eq!(subsets[31], Countermeasure::all());
     }
 
     #[test]

@@ -76,17 +76,15 @@ use std::sync::Arc;
 /// (property tested); only the work schedule differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The production engine, at every population size; the same as
-    /// [`Engine::Prepared`].
+    /// The production engine, at every population size. Forward and
+    /// score queries run on the interned analysis substrate
+    /// ([`crate::Prepared`]): compile the population once into
+    /// bitset/integer-coded form, then run the fixed point on scratch
+    /// buffers (score queries take the 64-lane schedule). Backward
+    /// queries run the graph's best-first arena [`BackwardEngine`]
+    /// ([`Tdg::backward`]).
     #[default]
     Auto,
-    /// The production engine. Forward and score queries run on the
-    /// interned analysis substrate ([`crate::Prepared`]): compile the
-    /// population once into bitset/integer-coded form, then run the
-    /// fixed point on scratch buffers (score queries take the 64-lane
-    /// schedule). Backward queries run the graph's best-first arena
-    /// [`BackwardEngine`] ([`Tdg::backward`]).
-    Prepared,
     /// The reference implementation: full-rescan fixed point for
     /// forward, the scalar one-user-at-a-time loop for score,
     /// clone-heavy BFS for backward. Kept for equivalence proofs and
@@ -382,7 +380,7 @@ impl<'a> ForwardQuery<'a> {
 ///
 /// Both engines run on the prepared substrate (overlays only exist
 /// there); the knob selects the *schedule*: the 64-lane bit-parallel
-/// sweep ([`Engine::Auto`], [`Engine::Prepared`]) versus the scalar
+/// sweep ([`Engine::Auto`]) versus the scalar
 /// one-user-at-a-time reference loop ([`Engine::Naive`]). Results are
 /// schedule-independent (property tested).
 pub struct ScoreQuery<'a> {
@@ -548,7 +546,7 @@ impl<'a> BackwardQuery<'a> {
                 Engine::Naive => {
                     backward_chains_naive_budget(&tdg, self.target, self.max_chains, budget, class)
                 }
-                Engine::Auto | Engine::Prepared => {
+                Engine::Auto => {
                     tdg.backward().chains(self.target, self.max_chains, budget, class)
                 }
             }
@@ -785,7 +783,7 @@ mod tests {
         let specs = curated_services();
         for platform in [Platform::Web, Platform::MobileApp] {
             let base = Analysis::over(&specs, platform, ap()).forward(&[]).run().unwrap();
-            for engine in [Engine::Auto, Engine::Prepared, Engine::Naive] {
+            for engine in [Engine::Auto, Engine::Naive] {
                 let got = Analysis::over(&specs, platform, ap())
                     .forward(&[])
                     .engine(engine)
@@ -795,7 +793,7 @@ mod tests {
             }
             let unmemoized = Analysis::over(&specs, platform, ap())
                 .forward(&[])
-                .engine(Engine::Prepared)
+                .engine(Engine::Auto)
                 .memo(false)
                 .run()
                 .unwrap();
@@ -918,7 +916,7 @@ mod tests {
         for platform in [Platform::Web, Platform::MobileApp] {
             let lanes = Analysis::over(&specs, platform, ap())
                 .score_users(&profiles)
-                .engine(Engine::Prepared)
+                .engine(Engine::Auto)
                 .run()
                 .unwrap();
             let scalar = Analysis::over(&specs, platform, ap())

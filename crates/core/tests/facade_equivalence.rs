@@ -29,7 +29,7 @@ fn every_forward_engine_agrees_with_auto() {
     let specs = population();
     for seeds in [vec![], vec![ServiceId::new("gmail")]] {
         let auto = Analysis::over(&specs, Platform::Web, ap()).forward(&seeds).run().unwrap();
-        for engine in [Engine::Naive, Engine::Prepared] {
+        for engine in [Engine::Naive, Engine::Auto] {
             let picked = Analysis::over(&specs, Platform::Web, ap())
                 .forward(&seeds)
                 .engine(engine)
@@ -45,12 +45,12 @@ fn unmemoized_prepared_agrees_with_memoized() {
     let specs = population();
     let memo = Analysis::over(&specs, Platform::Web, ap())
         .forward(&[])
-        .engine(Engine::Prepared)
+        .engine(Engine::Auto)
         .run()
         .unwrap();
     let unmemo = Analysis::over(&specs, Platform::Web, ap())
         .forward(&[])
-        .engine(Engine::Prepared)
+        .engine(Engine::Auto)
         .memo(false)
         .run()
         .unwrap();
@@ -83,7 +83,7 @@ fn edge_class_filter_agrees_across_forward_engines() {
             .unwrap();
         let prepared = Analysis::over(&specs, Platform::Web, ap())
             .forward(&[])
-            .engine(Engine::Prepared)
+            .engine(Engine::Auto)
             .edge_class(class)
             .run()
             .unwrap();

@@ -7,7 +7,7 @@
 //! own test binary and serialize through [`obs_lock`].
 
 use actfort_core::profile::AttackerProfile;
-use actfort_core::query::{Analysis, Engine};
+use actfort_core::query::Analysis;
 use actfort_core::{obs, Countermeasure, EdgeClass, ForwardResult, Tdg};
 use actfort_ecosystem::dataset::curated_services;
 use actfort_ecosystem::factor::ServiceId;
@@ -311,12 +311,11 @@ fn one_graph_builds_its_backward_engine_once() {
     let specs = curated_services();
     let target: ServiceId = "paypal".into();
 
-    // Auto, Prepared, both class searches of a RecoveryOnly query and a
+    // Auto, both class searches of a RecoveryOnly query and a
     // what-if's severed-chain lookups all run the graph's one engine.
     let tdg = Tdg::build(&specs, Platform::Web, ap);
     let n = builds(&|| {
         Analysis::of(&tdg).backward(&target).run().unwrap();
-        Analysis::of(&tdg).backward(&target).engine(Engine::Prepared).run().unwrap();
         Analysis::of(&tdg)
             .backward(&target)
             .edge_class(EdgeClass::RecoveryOnly)

@@ -288,7 +288,7 @@ proptest! {
     }
 
     /// Backward equivalence through the substrate-backed graph: a `Tdg`
-    /// owns its compiled substrate, and dispatching `Engine::Prepared`
+    /// owns its compiled substrate, and dispatching `Engine::Auto`
     /// over it returns the exact chain list of the exhaustive naive
     /// enumeration. Cases where naive hits its global partial budget are
     /// skipped, as in `backward_props`.
@@ -314,7 +314,7 @@ proptest! {
             let fast = Analysis::of(&tdg)
                 .backward(&target)
                 .max_chains(max_chains)
-                .engine(Engine::Prepared)
+                .engine(Engine::Auto)
                 .run()
                 .expect("valid query");
             prop_assert_eq!(

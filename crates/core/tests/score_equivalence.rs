@@ -91,7 +91,7 @@ proptest! {
             let profiles = random_profiles(&specs, batch, &mut rng);
             let lanes = Analysis::over(&specs, platform, ap)
                 .score_users(&profiles)
-                .engine(Engine::Prepared)
+                .engine(Engine::Auto)
                 .run()
                 .expect("valid batch");
             let scalar = Analysis::over(&specs, platform, ap)
@@ -105,7 +105,7 @@ proptest! {
             for (i, profile) in profiles.iter().enumerate() {
                 let solo = Analysis::over(&specs, platform, ap)
                     .score_users(std::slice::from_ref(profile))
-                    .engine(Engine::Prepared)
+                    .engine(Engine::Auto)
                     .run()
                     .expect("valid singleton")[0];
                 prop_assert_eq!(
@@ -154,7 +154,7 @@ fn zero_services_scores_zero_everywhere_in_the_word() {
         profiles[position] = UserProfile::new(Vec::new(), OverlayFactor::ALL);
         let scores = Analysis::over(&specs, Platform::Web, AttackerProfile::paper_default())
             .score_users(&profiles)
-            .engine(Engine::Prepared)
+            .engine(Engine::Auto)
             .run()
             .expect("valid batch");
         assert_eq!(
@@ -180,7 +180,7 @@ fn full_profile_reproduces_the_forward_result_exactly() {
                 Analysis::over(&specs, platform, ap).forward(&[]).run().expect("forward");
             let all: Vec<ServiceId> = specs.iter().map(|s| s.id.clone()).collect();
             let profiles = [UserProfile::full(all)];
-            for engine in [Engine::Prepared, Engine::Naive] {
+            for engine in [Engine::Auto, Engine::Naive] {
                 let scores = Analysis::over(&specs, platform, ap)
                     .score_users(&profiles)
                     .engine(engine)
@@ -208,7 +208,7 @@ fn sixty_four_identical_profiles_reproduce_the_forward_result() {
     let profiles = vec![UserProfile::full(all); 64];
     let scores = Analysis::over(&specs, Platform::Web, ap)
         .score_users(&profiles)
-        .engine(Engine::Prepared)
+        .engine(Engine::Auto)
         .run()
         .expect("score");
     assert_eq!(scores.len(), 64);

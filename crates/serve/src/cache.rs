@@ -1,22 +1,16 @@
-//! Rendered-body response cache for forward *and* backward queries.
+//! Rendered-body response cache for every analysis route (forward,
+//! backward, score and whatif).
 //!
 //! Values are fully rendered JSON bodies (`Arc<Vec<u8>>`), so a hit
 //! serves the *exact bytes* a miss rendered — byte-identity between the
 //! two paths is structural, not a property the renderer must re-earn.
 //! Keys embed the snapshot generation: a hot-swap implicitly invalidates
 //! every cached entry without touching the map (stale generations age
-//! out through the FIFO bound).
-//!
-//! **History note (the backward miss bug).** Until the reactor rewrite
-//! the key type could only spell a *forward* query — its payload was a
-//! canonicalized seed list — and the backward handler never consulted
-//! the cache at all, so repeated identical backward queries re-ran the
-//! whole chain search every time (0% hit rate vs 94% forward in
-//! `BENCH_forward.json`). The key now carries a query-kind discriminant
-//! plus a kind-specific canonical payload; backward lookups key on
-//! `(target, max_chains, effective budget)` so a deadline-derived
-//! budget caches identically to the equivalent explicit budget, and
-//! never collides with a differently-bounded search.
+//! out through the FIFO bound). Each key carries a query-kind
+//! discriminant plus a kind-specific canonical payload, so the four
+//! routes' key spaces never collide; backward keys carry the
+//! *effective* budget, so a deadline-derived budget caches identically
+//! to the equivalent explicit budget.
 
 use crate::obs_names;
 use actfort_core::counter::canonical_set;
@@ -35,8 +29,9 @@ pub struct CacheKey {
     pub generation: u64,
     /// Engine selector as its wire spelling (`"auto"`, …).
     pub engine: &'static str,
-    /// Query-kind discriminant (`"forward"` / `"backward"`), so the two
-    /// key spaces can never collide however their payloads are spelled.
+    /// Query-kind discriminant (`"forward"`, `"backward"`, `"score"`,
+    /// `"whatif"`), so the key spaces can never collide however their
+    /// payloads are spelled.
     pub kind: &'static str,
     /// Kind-specific canonical payload (see constructors).
     pub payload: String,
@@ -93,9 +88,9 @@ impl CacheKey {
     /// countermeasure set — every spelling order of the same set maps
     /// to one entry, mirroring the evaluation itself, which
     /// canonicalizes before patching — plus the sweep flag and the
-    /// severed-chain cap (both change the rendered body). Whatif always
-    /// runs on the patched prepared substrate, so the key carries no
-    /// engine selector.
+    /// severed-chain cap (both change the rendered body). Whatif takes
+    /// no engine selector (it always runs the production engine on the
+    /// patched substrate), so its key's engine is always `"auto"`.
     pub fn whatif(
         generation: u64,
         class: EdgeClass,
@@ -107,7 +102,7 @@ impl CacheKey {
             canonical_set(cms).into_iter().map(Countermeasure::wire_name).collect();
         Self {
             generation,
-            engine: "prepared",
+            engine: "auto",
             kind: "whatif",
             payload: format!(
                 "{}\n{sweep}\n{severed_chains}\n{}",

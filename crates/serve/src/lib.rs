@@ -25,15 +25,17 @@
 //! - [`snapshot`] — `Arc`-shared immutable ecosystem generations with
 //!   atomic hot-swap (`POST /admin/reload`); a request serves entirely
 //!   from the generation it loaded first, so responses never tear.
-//! - [`cache`] — forward *and* backward responses cached as rendered
-//!   bytes, keyed on the canonicalized query + engine + snapshot
-//!   generation.
+//! - [`cache`] — every analysis route's responses (forward, backward,
+//!   score, whatif) cached as rendered bytes, keyed on the canonicalized
+//!   query + engine + snapshot generation.
 //! - [`queue`] — a bounded work queue over a fixed worker pool (sized
 //!   like [`BatchAnalyzer`](actfort_core::batch::BatchAnalyzer));
 //!   when full the server sheds load with `503` + `Retry-After`.
-//! - [`server`] — routing on the reactor thread, deadlines (translated
-//!   into the backward engine's partial budget) and graceful
-//!   drain-on-shutdown that completes every accepted request.
+//! - [`server`] — routing on the reactor thread, one request pipeline
+//!   shared by the four analysis routes (cache lookup, shedding, compute
+//!   and render timing, cache insert), deadlines (translated into the
+//!   backward engine's partial budget) and graceful drain-on-shutdown
+//!   that completes every accepted request.
 //! - [`client`] — the matching blocking client used by tests and CI
 //!   smoke.
 //!
@@ -48,7 +50,7 @@
 //! | `POST /score`          | per-user overlay scoring, batched (cached; |
 //! |   (alias `/v1/score`)  | 64-lane bit-parallel sweep)                |
 //! | `POST /whatif`         | countermeasure what-if: one set, or the    |
-//! |   (alias `/v1/whatif`) | full 2⁴-subset sweep, on the delta-patched |
+//! |   (alias `/v1/whatif`) | full 2⁵-subset sweep, on the delta-patched |
 //! |                        | substrate — no recompiles (cached)         |
 //! | `POST /admin/reload`   | hot-swap the dataset snapshot              |
 //! | `POST /admin/shutdown` | graceful drain                             |
@@ -75,9 +77,9 @@ pub use snapshot::Dataset;
 pub mod obs_names {
     /// Counter: requests fully parsed (any endpoint, any status).
     pub const REQUESTS: &str = "serve.requests";
-    /// Counter: forward cache hits.
+    /// Counter: response-cache hits, on every analysis route.
     pub const CACHE_HITS: &str = "serve.cache.hits";
-    /// Counter: forward cache misses.
+    /// Counter: response-cache misses, on every analysis route.
     pub const CACHE_MISSES: &str = "serve.cache.misses";
     /// Gauge (histogram of observed sizes): cache entry count.
     pub const CACHE_SIZE: &str = "serve.cache.size";

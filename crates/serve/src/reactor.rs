@@ -158,6 +158,12 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Hard cap on a connection's accumulated unparsed bytes; reads pause
 /// (TCP backpressure) above it until the pipeline drains.
 const READ_BUF_CAP: usize = 2 * 1024 * 1024;
+/// How long a keep-alive connection may sit with no request in progress
+/// before it is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+/// Maximum pipelined requests in flight per connection; parsing (and
+/// eventually reading) pauses above this depth.
+const MAX_PIPELINE: usize = 32;
 
 /// Identity of one accepted connection: a slab token plus a generation
 /// bumped on every reuse of that token, so stale completions and timer
@@ -166,30 +172,6 @@ const READ_BUF_CAP: usize = 2 * 1024 * 1024;
 pub struct ConnId {
     token: u32,
     generation: u32,
-}
-
-/// Reactor tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// How long a keep-alive connection may sit with no request in
-    /// progress before it is closed.
-    pub idle_timeout: Duration,
-    /// How long a peer may stall *inside* a request (or with responses
-    /// pending/unflushed) before the connection is closed.
-    pub stall_timeout: Duration,
-    /// Maximum pipelined requests in flight per connection; parsing
-    /// (and eventually reading) pauses above this depth.
-    pub max_pipeline: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        Self {
-            idle_timeout: Duration::from_secs(60),
-            stall_timeout: http::MID_REQUEST_STALL,
-            max_pipeline: 32,
-        }
-    }
 }
 
 /// What to do about a failed `accept`.
@@ -479,7 +461,9 @@ pub struct Reactor {
     free: Vec<u32>,
     live: usize,
     wheel: TimerWheel,
-    config: ReactorConfig,
+    /// How long a peer may stall *inside* a request (or with responses
+    /// pending/unflushed) before the connection is closed.
+    stall_timeout: Duration,
     shutdown: Arc<AtomicBool>,
     draining: bool,
     accept_ready: bool,
@@ -490,9 +474,11 @@ pub struct Reactor {
 impl Reactor {
     /// Builds a reactor around an already-bound listener. The listener
     /// is switched to nonblocking and registered edge-triggered.
+    /// `stall_timeout` bounds how long a peer may stall inside a request
+    /// (or with responses pending) before its connection is closed.
     pub fn new(
         listener: TcpListener,
-        config: ReactorConfig,
+        stall_timeout: Duration,
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
@@ -516,7 +502,7 @@ impl Reactor {
             free: Vec::new(),
             live: 0,
             wheel: TimerWheel::new(1024, Duration::from_millis(10), now),
-            config,
+            stall_timeout,
             shutdown,
             draining: false,
             accept_ready: true,
@@ -682,7 +668,7 @@ impl Reactor {
             peer_closed: false,
             readable: true,
             writable: true,
-            deadline: now + self.config.idle_timeout,
+            deadline: now + IDLE_TIMEOUT,
             armed_deadline: None,
             timer_epoch: 0,
             opened: now,
@@ -698,7 +684,6 @@ impl Reactor {
     fn service<H: Handler>(&mut self, token: u32, handler: &H, now: Instant) {
         let mut dispatch: Vec<(Request, ConnId, u64)> = Vec::new();
         {
-            let max_pipeline = self.config.max_pipeline;
             let Some(conn) = self.conns.get_mut(token as usize).and_then(Option::as_mut) else {
                 return;
             };
@@ -711,7 +696,7 @@ impl Reactor {
             while conn.readable
                 && !conn.peer_closed
                 && !conn.close_after
-                && conn.pending.len() < max_pipeline
+                && conn.pending.len() < MAX_PIPELINE
                 && conn.read_buf.len() < READ_BUF_CAP
             {
                 match conn.stream.read(&mut buf) {
@@ -726,7 +711,7 @@ impl Reactor {
                 }
             }
             // Parse as many buffered requests as pipeline depth allows.
-            while !conn.close_after && conn.pending.len() < max_pipeline {
+            while !conn.close_after && conn.pending.len() < MAX_PIPELINE {
                 match http::parse_request(&conn.read_buf) {
                     Parse::Partial => break,
                     Parse::Complete { request, consumed } => {
@@ -856,7 +841,7 @@ impl Reactor {
     /// while work is in progress, idle otherwise) and guarantees one
     /// physical wheel entry exists.
     fn arm_timer(&mut self, token: u32, now: Instant) {
-        let (idle, stall) = (self.config.idle_timeout, self.config.stall_timeout);
+        let (idle, stall) = (IDLE_TIMEOUT, self.stall_timeout);
         let draining = self.draining;
         let Some(conn) = self.conns.get_mut(token as usize).and_then(Option::as_mut) else {
             return;

@@ -10,18 +10,24 @@
 //! blocks on another request's compute. Responses are built from
 //! exactly one [`Snapshot`] loaded at request start, so a concurrent
 //! hot-swap can never tear a response.
+//!
+//! The four analysis routes differ only in how they parse, key and
+//! compute: each hands its cache key and a compute closure to one
+//! private pipeline (`answer`), which owns the cache lookup, shedding,
+//! the endpoint/`compute`/`render` spans and timings, the cache insert
+//! and the response.
 
 use crate::cache::{CacheKey, ResponseCache};
 use crate::http::{self, Request, Response};
 use crate::obs_names;
 use crate::queue::WorkQueue;
-use crate::reactor::{CompletionSender, Handler, Reactor, ReactorConfig, ResponseSlot};
+use crate::reactor::{CompletionSender, Handler, Reactor, ResponseSlot};
 use crate::snapshot::{Dataset, SnapshotStore};
 use crate::wire;
 use actfort_core::batch::BatchAnalyzer;
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::Analysis;
-use actfort_core::{obs, Error};
+use actfort_core::{obs, Countermeasure, Error};
 use actfort_ecosystem::policy::Platform;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,15 +69,11 @@ pub struct ServerConfig {
     pub threads: Option<usize>,
     /// Bounded queue capacity; `None` means four jobs per worker.
     pub queue_capacity: Option<usize>,
-    /// Response cache capacity (rendered bodies, forward + backward).
+    /// Response cache capacity (rendered bodies, every analysis route).
     pub cache_capacity: usize,
-    /// How long an idle keep-alive connection is kept open.
-    pub idle_timeout: Duration,
     /// How long a peer may stall mid-request (or with responses in
     /// flight) before the connection is closed.
     pub stall_timeout: Duration,
-    /// Maximum pipelined requests in flight per connection.
-    pub max_pipeline: usize,
     /// Deadline → partial-budget calibration
     /// ([`wire::DEADLINE_PARTIALS_PER_MS`] by default).
     pub deadline_partials_per_ms: usize,
@@ -87,9 +89,7 @@ impl Default for ServerConfig {
             threads: None,
             queue_capacity: None,
             cache_capacity: 1024,
-            idle_timeout: Duration::from_secs(60),
             stall_timeout: http::MID_REQUEST_STALL,
-            max_pipeline: 32,
             deadline_partials_per_ms: wire::DEADLINE_PARTIALS_PER_MS,
         }
     }
@@ -173,16 +173,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, Error> {
     })?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let reactor = Reactor::new(
-        listener,
-        ReactorConfig {
-            idle_timeout: config.idle_timeout,
-            stall_timeout: config.stall_timeout,
-            max_pipeline: config.max_pipeline.max(1),
-        },
-        Arc::clone(&shutdown),
-    )
-    .map_err(|e| Error::Upstream {
+    let reactor = Reactor::new(listener, config.stall_timeout, Arc::clone(&shutdown));
+    let reactor = reactor.map_err(|e| Error::Upstream {
         layer: "serve",
         code: CODE_SERVE_IO,
         message: format!("initializing reactor: {e}"),
@@ -392,10 +384,61 @@ fn submit_or_shed(
     }
 }
 
+/// The one path every analysis route takes once it has parsed and keyed
+/// its request. A cache hit answers inline on the reactor thread. A miss
+/// moves `compute` onto the worker pool (or sheds), runs it under the
+/// route's `span` with its `compute` child, renders the body with the
+/// closure it returns under `render`, caches the rendered bytes and
+/// answers with the cache's canonical copy. Every outcome is recorded in
+/// the route's `latency` histogram.
+fn answer<R: FnOnce() -> Vec<u8>>(
+    shared: &Arc<Shared>,
+    (latency, span): (&'static str, &'static str),
+    start: Instant,
+    slot: ResponseSlot,
+    key: CacheKey,
+    compute: impl FnOnce() -> Result<R, Error> + Send + 'static,
+) {
+    if let Some(cached) = shared.cache.get(&key) {
+        let response =
+            Response::json(200, cached.as_ref().clone()).with_header("x-actfort-cache", "hit");
+        return finish(latency, start, slot, response);
+    }
+    let job_shared = Arc::clone(shared);
+    submit_or_shed(shared, latency, start, slot, move |slot| {
+        let rendered = (|| {
+            let _span = obs::span(span);
+            let compute_started = Instant::now();
+            let render = {
+                let _compute = obs::span(obs_names::COMPUTE_SPAN);
+                compute()?
+            };
+            obs::record_ns(obs_names::COMPUTE_NS, elapsed_ns(compute_started));
+            let render_started = Instant::now();
+            let _render = obs::span(obs_names::RENDER_SPAN);
+            let body = render();
+            obs::record_ns(obs_names::RENDER_NS, elapsed_ns(render_started));
+            Ok::<_, Error>(body)
+        })();
+        let response = match rendered {
+            Err(e) => error_response(&e),
+            Ok(body) => {
+                // Serve the cache's canonical bytes so a racing miss of
+                // the same query returns the identical body.
+                let canonical = job_shared.cache.insert(key, Arc::new(body));
+                Response::json(200, canonical.as_ref().clone())
+                    .with_header("x-actfort-cache", "miss")
+            }
+        };
+        finish(latency, start, slot, response);
+    });
+}
+
 fn forward(shared: &Arc<Shared>, request: &Request, start: Instant, slot: ResponseSlot) {
+    let route = (obs_names::FORWARD_LATENCY, obs_names::FORWARD_SPAN);
     let request = match wire::parse_forward(&request.body) {
         Ok(r) => r,
-        Err(e) => return finish(obs_names::FORWARD_LATENCY, start, slot, error_response(&e)),
+        Err(e) => return finish(route.0, start, slot, error_response(&e)),
     };
     let snapshot = shared.store.load();
     let key = CacheKey::forward(
@@ -405,57 +448,26 @@ fn forward(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Respon
         request.memo,
         &request.seeds,
     );
-    if let Some(cached) = shared.cache.get(&key) {
-        let response =
-            Response::json(200, cached.as_ref().clone()).with_header("x-actfort-cache", "hit");
-        return finish(obs_names::FORWARD_LATENCY, start, slot, response);
-    }
-    let generation = snapshot.generation;
-    let job_shared = Arc::clone(shared);
-    submit_or_shed(shared, obs_names::FORWARD_LATENCY, start, slot, move |slot| {
-        let result = (|| {
-            let _span = obs::span(obs_names::FORWARD_SPAN);
-            let compute_started = Instant::now();
-            let result = {
-                let _compute = obs::span(obs_names::COMPUTE_SPAN);
-                Analysis::of(&snapshot.tdg)
-                    .forward(&request.seeds)
-                    .engine(request.common.engine)
-                    .edge_class(request.common.edge_class)
-                    .memo(request.memo)
-                    .run()?
-            };
-            obs::record_ns(obs_names::COMPUTE_NS, elapsed_ns(compute_started));
-            let render_started = Instant::now();
-            let _render = obs::span(obs_names::RENDER_SPAN);
-            let rendered = wire::render_forward(generation, request.common.engine, &result);
-            obs::record_ns(obs_names::RENDER_NS, elapsed_ns(render_started));
-            Ok::<_, Error>(rendered)
-        })();
-        let response = match result {
-            Err(e) => error_response(&e),
-            Ok(rendered) => {
-                // Serve the cache's canonical bytes so a racing miss of
-                // the same query returns the identical body.
-                let canonical = job_shared.cache.insert(key, Arc::new(rendered));
-                Response::json(200, canonical.as_ref().clone())
-                    .with_header("x-actfort-cache", "miss")
-            }
-        };
-        finish(obs_names::FORWARD_LATENCY, start, slot, response);
+    answer(shared, route, start, slot, key, move || {
+        let result = Analysis::of(&snapshot.tdg)
+            .forward(&request.seeds)
+            .engine(request.common.engine)
+            .edge_class(request.common.edge_class)
+            .memo(request.memo)
+            .run()?;
+        Ok(move || wire::render_forward(snapshot.generation, request.common.engine, &result))
     });
 }
 
 fn backward(shared: &Arc<Shared>, request: &Request, start: Instant, slot: ResponseSlot) {
+    let route = (obs_names::BACKWARD_LATENCY, obs_names::BACKWARD_SPAN);
     let request = match wire::parse_backward(&request.body) {
         Ok(r) => r,
-        Err(e) => return finish(obs_names::BACKWARD_LATENCY, start, slot, error_response(&e)),
+        Err(e) => return finish(route.0, start, slot, error_response(&e)),
     };
     let snapshot = shared.store.load();
     // The cache key carries the *effective* budget, so an explicit
-    // budget and the equivalent deadline-derived one share an entry —
-    // and repeated identical backward queries actually hit (the old
-    // handler skipped the cache entirely; see `cache.rs`).
+    // budget and the equivalent deadline-derived one share an entry.
     let budget = request.common.effective_budget(shared.deadline_partials_per_ms);
     let key = CacheKey::backward(
         snapshot.generation,
@@ -465,66 +477,38 @@ fn backward(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Respo
         request.max_chains,
         budget,
     );
-    if let Some(cached) = shared.cache.get(&key) {
-        let response =
-            Response::json(200, cached.as_ref().clone()).with_header("x-actfort-cache", "hit");
-        return finish(obs_names::BACKWARD_LATENCY, start, slot, response);
-    }
-    let generation = snapshot.generation;
-    let job_shared = Arc::clone(shared);
-    submit_or_shed(shared, obs_names::BACKWARD_LATENCY, start, slot, move |slot| {
-        let result = (|| {
-            let _span = obs::span(obs_names::BACKWARD_SPAN);
-            let compute_started = Instant::now();
-            let (chains, exhaustive) = {
-                let _compute = obs::span(obs_names::COMPUTE_SPAN);
-                let mut query = Analysis::of(&snapshot.tdg)
-                    .backward(&request.target)
-                    .max_chains(request.max_chains)
-                    .engine(request.common.engine)
-                    .edge_class(request.common.edge_class);
-                if let Some(budget) = budget {
-                    query = query.budget(budget);
-                }
-                query.run_bounded()?
-            };
-            obs::record_ns(obs_names::COMPUTE_NS, elapsed_ns(compute_started));
-            // Attribute the cut to the deadline only when the deadline
-            // supplied the budget (an explicit budget takes precedence).
-            if !exhaustive
-                && request.common.budget.is_none()
-                && request.common.deadline_ms.is_some()
-            {
-                obs::add(obs_names::DEADLINE_EXPIRED, 1);
-            }
-            let render_started = Instant::now();
-            let _render = obs::span(obs_names::RENDER_SPAN);
-            let rendered = wire::render_backward(
-                generation,
+    answer(shared, route, start, slot, key, move || {
+        let mut query = Analysis::of(&snapshot.tdg)
+            .backward(&request.target)
+            .max_chains(request.max_chains)
+            .engine(request.common.engine)
+            .edge_class(request.common.edge_class);
+        if let Some(budget) = budget {
+            query = query.budget(budget);
+        }
+        let (chains, exhaustive) = query.run_bounded()?;
+        // Attribute the cut to the deadline only when the deadline
+        // supplied the budget (an explicit budget takes precedence).
+        if !exhaustive && request.common.budget.is_none() && request.common.deadline_ms.is_some() {
+            obs::add(obs_names::DEADLINE_EXPIRED, 1);
+        }
+        Ok(move || {
+            wire::render_backward(
+                snapshot.generation,
                 request.common.engine,
                 &request.target,
                 &chains,
                 exhaustive,
-            );
-            obs::record_ns(obs_names::RENDER_NS, elapsed_ns(render_started));
-            Ok::<_, Error>(rendered)
-        })();
-        let response = match result {
-            Err(e) => error_response(&e),
-            Ok(rendered) => {
-                let canonical = job_shared.cache.insert(key, Arc::new(rendered));
-                Response::json(200, canonical.as_ref().clone())
-                    .with_header("x-actfort-cache", "miss")
-            }
-        };
-        finish(obs_names::BACKWARD_LATENCY, start, slot, response);
+            )
+        })
     });
 }
 
 fn score(shared: &Arc<Shared>, request: &Request, start: Instant, slot: ResponseSlot) {
+    let route = (obs_names::SCORE_LATENCY, obs_names::SCORE_SPAN);
     let request = match wire::parse_score(&request.body) {
         Ok(r) => r,
-        Err(e) => return finish(obs_names::SCORE_LATENCY, start, slot, error_response(&e)),
+        Err(e) => return finish(route.0, start, slot, error_response(&e)),
     };
     let snapshot = shared.store.load();
     let key = CacheKey::score(
@@ -533,51 +517,24 @@ fn score(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Response
         request.common.edge_class,
         &request.profiles,
     );
-    if let Some(cached) = shared.cache.get(&key) {
-        let response =
-            Response::json(200, cached.as_ref().clone()).with_header("x-actfort-cache", "hit");
-        return finish(obs_names::SCORE_LATENCY, start, slot, response);
-    }
-    let generation = snapshot.generation;
-    let job_shared = Arc::clone(shared);
-    submit_or_shed(shared, obs_names::SCORE_LATENCY, start, slot, move |slot| {
-        let result = (|| {
-            let _span = obs::span(obs_names::SCORE_SPAN);
-            let compute_started = Instant::now();
-            let scores = {
-                let _compute = obs::span(obs_names::COMPUTE_SPAN);
-                // The graph source borrows the snapshot's prepared
-                // substrate — one compilation per generation, shared by
-                // every batch and every user in it.
-                Analysis::of(&snapshot.tdg)
-                    .score_users(&request.profiles)
-                    .engine(request.common.engine)
-                    .edge_class(request.common.edge_class)
-                    .run()?
-            };
-            obs::record_ns(obs_names::COMPUTE_NS, elapsed_ns(compute_started));
-            let render_started = Instant::now();
-            let _render = obs::span(obs_names::RENDER_SPAN);
-            let rendered = wire::render_score(generation, request.common.engine, &scores);
-            obs::record_ns(obs_names::RENDER_NS, elapsed_ns(render_started));
-            Ok::<_, Error>(rendered)
-        })();
-        let response = match result {
-            Err(e) => error_response(&e),
-            Ok(rendered) => {
-                let canonical = job_shared.cache.insert(key, Arc::new(rendered));
-                Response::json(200, canonical.as_ref().clone())
-                    .with_header("x-actfort-cache", "miss")
-            }
-        };
-        finish(obs_names::SCORE_LATENCY, start, slot, response);
+    answer(shared, route, start, slot, key, move || {
+        // The graph source borrows the snapshot's prepared substrate —
+        // one compilation per generation, shared by every batch and
+        // every user in it.
+        let scores = Analysis::of(&snapshot.tdg)
+            .score_users(&request.profiles)
+            .engine(request.common.engine)
+            .edge_class(request.common.edge_class)
+            .run()?;
+        Ok(move || wire::render_score(snapshot.generation, request.common.engine, &scores))
     });
 }
 
 fn whatif(shared: &Arc<Shared>, request: &Request, start: Instant, slot: ResponseSlot) {
+    let route = (obs_names::WHATIF_LATENCY, obs_names::WHATIF_SPAN);
     let request = match wire::parse_whatif(&request.body) {
         Ok(r) => r,
-        Err(e) => return finish(obs_names::WHATIF_LATENCY, start, slot, error_response(&e)),
+        Err(e) => return finish(route.0, start, slot, error_response(&e)),
     };
     let snapshot = shared.store.load();
     let key = CacheKey::whatif(
@@ -587,64 +544,24 @@ fn whatif(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Respons
         request.sweep,
         request.severed_chains,
     );
-    if let Some(cached) = shared.cache.get(&key) {
-        let response =
-            Response::json(200, cached.as_ref().clone()).with_header("x-actfort-cache", "hit");
-        return finish(obs_names::WHATIF_LATENCY, start, slot, response);
-    }
-    let generation = snapshot.generation;
-    let job_shared = Arc::clone(shared);
-    submit_or_shed(shared, obs_names::WHATIF_LATENCY, start, slot, move |slot| {
-        let result = (|| {
-            let _span = obs::span(obs_names::WHATIF_SPAN);
-            let compute_started = Instant::now();
-            let reports = {
-                let _compute = obs::span(obs_names::COMPUTE_SPAN);
-                // Both modes route through the snapshot's shared patcher
-                // (compiled-patch cache) and the graph's prewarmed backward
-                // engine: nothing here ever recompiles the prepared
-                // substrate.
-                let evaluate = |set: &[actfort_core::Countermeasure]| {
-                    Analysis::of(&snapshot.tdg)
-                        .whatif(set)
-                        .patcher(&snapshot.patcher)
-                        .edge_class(request.common.edge_class)
-                        .max_severed(request.severed_chains)
-                        .run()
-                };
-                if request.sweep {
-                    let all = actfort_core::Countermeasure::all();
-                    let mut reports = Vec::with_capacity(1 << all.len());
-                    for mask in 0u32..(1 << all.len()) {
-                        let set: Vec<actfort_core::Countermeasure> = all
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| mask & (1 << i) != 0)
-                            .map(|(_, cm)| *cm)
-                            .collect();
-                        reports.push(evaluate(&set)?);
-                    }
-                    reports
-                } else {
-                    vec![evaluate(&request.countermeasures)?]
-                }
-            };
-            obs::record_ns(obs_names::COMPUTE_NS, elapsed_ns(compute_started));
-            let render_started = Instant::now();
-            let _render = obs::span(obs_names::RENDER_SPAN);
-            let rendered = wire::render_whatif(generation, &reports);
-            obs::record_ns(obs_names::RENDER_NS, elapsed_ns(render_started));
-            Ok::<_, Error>(rendered)
-        })();
-        let response = match result {
-            Err(e) => error_response(&e),
-            Ok(rendered) => {
-                let canonical = job_shared.cache.insert(key, Arc::new(rendered));
-                Response::json(200, canonical.as_ref().clone())
-                    .with_header("x-actfort-cache", "miss")
-            }
+    answer(shared, route, start, slot, key, move || {
+        // Both modes route through the snapshot's shared patcher
+        // (compiled-patch cache) and the graph's prewarmed backward
+        // engine: nothing here ever recompiles the prepared substrate.
+        let evaluate = |set: &[Countermeasure]| {
+            Analysis::of(&snapshot.tdg)
+                .whatif(set)
+                .patcher(&snapshot.patcher)
+                .edge_class(request.common.edge_class)
+                .max_severed(request.severed_chains)
+                .run()
         };
-        finish(obs_names::WHATIF_LATENCY, start, slot, response);
+        let reports = if request.sweep {
+            Countermeasure::subsets().iter().map(|set| evaluate(set)).collect::<Result<_, _>>()?
+        } else {
+            vec![evaluate(&request.countermeasures)?]
+        };
+        Ok(move || wire::render_whatif(snapshot.generation, &reports))
     });
 }
 

@@ -174,8 +174,8 @@ fn field_engine(doc: &Json) -> Result<Engine, Error> {
     match doc.get("engine") {
         None | Some(Json::Null) => Ok(Engine::Auto),
         Some(Json::Str(s)) => match s.as_str() {
-            "auto" => Ok(Engine::Auto),
-            "prepared" => Ok(Engine::Prepared),
+            // "prepared" is the production engine's older spelling.
+            "auto" | "prepared" => Ok(Engine::Auto),
             "naive" => Ok(Engine::Naive),
             other => Err(Error::Query(format!(
                 "unknown engine {other:?} (expected \"auto\", \"prepared\" or \"naive\")"
@@ -198,11 +198,11 @@ fn field_edge_class(doc: &Json) -> Result<EdgeClass, Error> {
 }
 
 /// The wire spelling of an engine selector (stable; part of the cache
-/// key).
+/// key). A request spelled `"prepared"` parses to [`Engine::Auto`], so
+/// it shares `"auto"`'s cache entries and renders as `"auto"`.
 pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Auto => "auto",
-        Engine::Prepared => "prepared",
         Engine::Naive => "naive",
     }
 }
@@ -610,9 +610,10 @@ mod tests {
         assert_eq!(req.common.engine, Engine::Naive);
         assert!(!req.memo);
 
+        // The older spelling parses, keys and renders as "auto".
         let req = parse_forward(br#"{"engine":"prepared"}"#).expect("prepared engine");
-        assert_eq!(req.common.engine, Engine::Prepared);
-        assert_eq!(engine_name(req.common.engine), "prepared");
+        assert_eq!(req.common.engine, Engine::Auto);
+        assert_eq!(engine_name(req.common.engine), "auto");
 
         assert!(parse_forward(br#"{"seeds":"gmail"}"#).is_err());
         assert!(parse_forward(br#"{"engine":"warp"}"#).is_err());
@@ -683,7 +684,7 @@ mod tests {
         );
         // Omitted factors default to everything enabled.
         assert_eq!(req.profiles[1].factors, OverlayFactor::ALL);
-        assert_eq!(req.common.engine, Engine::Prepared);
+        assert_eq!(req.common.engine, Engine::Auto);
 
         // Every wire spelling round-trips through parse_score.
         for (name, bit) in OverlayFactor::NAMES {
@@ -796,10 +797,10 @@ mod tests {
             UserScore { blast_radius: 7, weakest_chain: 3 },
             UserScore { blast_radius: 0, weakest_chain: 0 },
         ];
-        let body = render_score(5, Engine::Prepared, &scores);
+        let body = render_score(5, Engine::Auto, &scores);
         let doc = json::parse(std::str::from_utf8(&body).expect("utf-8")).expect("parses");
         assert_eq!(doc.get("generation").and_then(Json::as_num), Some(5.0));
-        assert_eq!(doc.get("engine").and_then(Json::as_str), Some("prepared"));
+        assert_eq!(doc.get("engine").and_then(Json::as_str), Some("auto"));
         assert_eq!(doc.get("users").and_then(Json::as_num), Some(2.0));
         let Some(Json::Arr(items)) = doc.get("scores") else { panic!("scores array") };
         assert_eq!(items[0].get("blast_radius").and_then(Json::as_num), Some(7.0));

@@ -19,7 +19,12 @@
 //!    and the server keeps answering on other connections;
 //! 7. `/backward` refuses the naive reference engine and a `budget`
 //!    above `MAX_BACKWARD_PARTIALS` with the query discriminant, at both
-//!    spellings.
+//!    spellings;
+//! 8. `"prepared"` is the older spelling of `"auto"`: it hits `"auto"`'s
+//!    cache entry and gets its exact bytes;
+//! 9. every analysis route goes through one pipeline: a miss records
+//!    `serve.<route>/compute`, `serve.<route>/render` and
+//!    `serve.<route>.latency_ns`, and a hit adds latency but no compute.
 //!
 //! The obs recorder is process-global, so tests serialize behind one
 //! mutex.
@@ -287,4 +292,58 @@ fn ten_thousand_nested_objects_reject_as_too_deep() {
     let _g = lock();
     let body = format!("{}1{}", r#"{"a":"#.repeat(10_000), "}".repeat(10_000));
     assert_too_deep_everywhere(body.as_bytes());
+}
+
+#[test]
+fn prepared_spelling_hits_the_auto_cache_entry() {
+    let _g = lock();
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for (path, fields) in [
+        ("/v1/forward", r#""seeds":["gmail"]"#),
+        ("/v1/score", r#""profiles":[{"services":["gmail","taobao"]}]"#),
+    ] {
+        let mut post = |engine: &str| {
+            let body = format!(r#"{{{fields},"engine":"{engine}"}}"#);
+            let resp = client.post(path, body.as_bytes()).expect("request");
+            assert_eq!(resp.status, 200, "{path}: {}", resp.text());
+            resp
+        };
+        let (auto, prepared) = (post("auto"), post("prepared"));
+        assert_eq!(auto.header("x-actfort-cache"), Some("miss"), "{path}");
+        assert_eq!(prepared.header("x-actfort-cache"), Some("hit"), "{path}");
+        assert_eq!(auto.body, prepared.body, "{path}: one entry, identical bytes");
+        assert!(prepared.text().contains(r#""engine":"auto""#), "{path}");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn every_analysis_route_records_compute_render_and_latency() {
+    let _g = lock();
+    obs_reset_enabled();
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for (route, body) in [
+        ("forward", &br#"{"seeds":["gmail"]}"#[..]),
+        ("backward", br#"{"target":"alipay","max_chains":2}"#),
+        ("score", br#"{"profiles":[{"services":["gmail","taobao"]}]}"#),
+        ("whatif", br#"{"countermeasures":["built_in_push"]}"#),
+    ] {
+        // (compute spans, render spans, latency samples) for the route.
+        let counts = || {
+            let snap = actfort_core::obs::snapshot();
+            let span = |child| snap.spans.get(&format!("serve.{route}/{child}")).map(|s| s.count);
+            let latency = snap.histograms.get(&format!("serve.{route}.latency_ns"));
+            (span("compute"), span("render"), latency.map(|h| h.count()))
+        };
+        let (miss, hit) = ((Some(1), Some(1), Some(1)), (Some(1), Some(1), Some(2)));
+        for (cache, expected) in [("miss", miss), ("hit", hit)] {
+            let resp = client.post(&format!("/v1/{route}"), body).expect("request");
+            assert_eq!(resp.header("x-actfort-cache"), Some(cache), "{route}: {}", resp.text());
+            assert_eq!(counts(), expected, "{route} after a {cache}");
+        }
+    }
+    handle.shutdown();
+    actfort_core::obs::set_enabled(false);
 }
