@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local CI: release build, tests, lints, examples.
+# Full local CI: release build, tests, lints, rustdoc, examples.
 # Everything must pass with zero warnings before a change lands.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -12,6 +12,9 @@ cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc: cargo doc --no-deps over the in-tree packages (default members, not vendor/), warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 echo "==> cargo build --examples"
 cargo build --examples

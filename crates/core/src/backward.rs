@@ -196,8 +196,9 @@ impl BackwardEngine {
     }
 
     /// The backward query: up to `max_chains` attack chains ending at
-    /// `target` under an edge-class filter (`All` or `LoginOnly`; see
-    /// [`graph_index`]), in the canonical order (fewest steps, fewest
+    /// `target` under an edge-class filter (`All` or `LoginOnly`; the
+    /// query facade answers `RecoveryOnly` as the difference
+    /// `All ∖ LoginOnly`), in the canonical order (fewest steps, fewest
     /// accounts, then lexicographic). Also reports whether the search
     /// was exhaustive (`true`) or cut short by `partial_budget`
     /// (`false`). The budget caps both slab creations (memory) and heap

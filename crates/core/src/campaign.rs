@@ -142,7 +142,7 @@ pub struct CampaignImpact {
     /// Deepest dependency chain seen across victims.
     pub max_chain_depth: u32,
     /// Foothold services that seeded the cascade (sorted, deduplicated,
-    /// capped at [`MAX_CASCADE_SEEDS`]).
+    /// capped at 16).
     pub cascade_seeds: Vec<ServiceId>,
     /// Services compromised by the seeded forward fixed point.
     pub cascade_compromised: u32,

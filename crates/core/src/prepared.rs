@@ -12,7 +12,7 @@
 //!   node ids; `compromised` / frontier / class-seen state are `u64`
 //!   word bitsets instead of `BTreeSet<usize>`.
 //! - **Compiled paths.** Every attack path is folded against the static
-//!   attacker profile into a [`CPath`]: a 6-bit required-kind mask over
+//!   attacker profile into a `CPath`: a 6-bit required-kind mask over
 //!   the six identity-fact kinds (`BIT_REAL_NAME` …), a mailbox bit, a
 //!   customer-service bit and resolved link ids. Factors the profile
 //!   satisfies outright vanish; factors it can never satisfy (SMS
@@ -24,7 +24,7 @@
 //!   the nodes whose live paths read it; after round one, a round
 //!   re-evaluates only subscribers of atoms the previous round flipped.
 //! - **Compiled providers.** Each node's singleton pool is flattened to
-//!   a [`Provider`]: direct-full bits, the three positional coverage
+//!   a `Provider`: direct-full bits, the three positional coverage
 //!   masks, mailbox control and an interned pool-signature class (the
 //!   provider-collapse equivalence class, precomputed instead of
 //!   re-hashed per run).
@@ -222,7 +222,7 @@ pub(crate) struct Node {
 /// recompiled state of the nodes a countermeasure set *touches* (its
 /// blast radius), with everything untouched read from the base at run
 /// time. This is the countermeasure analogue of the per-user
-/// [`UserOverlay`](crate::score::UserOverlay): the base substrate stays
+/// [`UserOverlay`]: the base substrate stays
 /// shared and immutable; the delta rides on top.
 ///
 /// Built with [`Prepared::compile_patch`] (normally via

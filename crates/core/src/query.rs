@@ -199,7 +199,6 @@ impl<'a> Analysis<'a> {
             memo: true,
             threads: None,
             class: EdgeClass::All,
-            trace: None,
         }
     }
 
@@ -212,7 +211,6 @@ impl<'a> Analysis<'a> {
             budget: None,
             engine: Engine::Auto,
             class: EdgeClass::All,
-            trace: None,
         }
     }
 
@@ -229,7 +227,6 @@ impl<'a> Analysis<'a> {
             chains_per_target: 2,
             max_severed: 16,
             class: EdgeClass::All,
-            trace: None,
         }
     }
 
@@ -243,7 +240,6 @@ impl<'a> Analysis<'a> {
             profiles,
             engine: Engine::Auto,
             class: EdgeClass::All,
-            trace: None,
         }
     }
 }
@@ -256,7 +252,6 @@ pub struct ForwardQuery<'a> {
     memo: bool,
     threads: Option<usize>,
     class: EdgeClass,
-    trace: Option<&'static str>,
 }
 
 impl<'a> ForwardQuery<'a> {
@@ -292,14 +287,6 @@ impl<'a> ForwardQuery<'a> {
         self
     }
 
-    /// Wraps the run in an `obs` span named `label`, so it appears as
-    /// its own subtree in trace snapshots. (Span names are `'static`,
-    /// matching the `obs` recorder's interning contract.)
-    pub fn trace(mut self, label: &'static str) -> Self {
-        self.trace = Some(label);
-        self
-    }
-
     fn validate(&self) -> Result<(), Error> {
         if let Some(seed) = self.seeds.iter().find(|s| !self.source.knows(s)) {
             return Err(Error::UnknownService(seed.to_string()));
@@ -324,7 +311,6 @@ impl<'a> ForwardQuery<'a> {
     /// functions silently ignored such seeds).
     pub fn run(&self) -> Result<ForwardResult, Error> {
         self.validate()?;
-        let _span = self.trace.map(obs::span);
         Ok(self.dispatch(self.seeds))
     }
 
@@ -348,7 +334,6 @@ impl<'a> ForwardQuery<'a> {
             Some(n) => BatchAnalyzer::new(n),
             None => BatchAnalyzer::from_env()?,
         };
-        let _span = self.trace.map(obs::span);
         if self.engine != Engine::Naive {
             return Ok(self.source.with_substrate(|prepared| {
                 analyzer.run_with(
@@ -388,7 +373,6 @@ pub struct ScoreQuery<'a> {
     profiles: &'a [UserProfile],
     engine: Engine,
     class: EdgeClass,
-    trace: Option<&'static str>,
 }
 
 impl<'a> ScoreQuery<'a> {
@@ -405,12 +389,6 @@ impl<'a> ScoreQuery<'a> {
         self
     }
 
-    /// Wraps the run in an `obs` span named `label`.
-    pub fn trace(mut self, label: &'static str) -> Self {
-        self.trace = Some(label);
-        self
-    }
-
     /// Runs the query, returning one [`UserScore`] per profile in input
     /// order. Fails with [`Error::UnknownService`] naming the first held
     /// service (profile order, then service order) absent from the
@@ -423,7 +401,6 @@ impl<'a> ScoreQuery<'a> {
     /// source's specs (`Prepared::overlays`): the cost per name does
     /// not grow with the population.
     pub fn run(&self) -> Result<Vec<UserScore>, Error> {
-        let _span = self.trace.map(obs::span);
         self.source.with_substrate(|prepared| {
             let overlays = prepared
                 .overlays(self.source.specs(), self.profiles)
@@ -452,7 +429,6 @@ pub struct BackwardQuery<'a> {
     budget: Option<usize>,
     engine: Engine,
     class: EdgeClass,
-    trace: Option<&'static str>,
 }
 
 impl<'a> BackwardQuery<'a> {
@@ -498,12 +474,6 @@ impl<'a> BackwardQuery<'a> {
         self
     }
 
-    /// Wraps the run in an `obs` span named `label`.
-    pub fn trace(mut self, label: &'static str) -> Self {
-        self.trace = Some(label);
-        self
-    }
-
     /// Runs the query, returning up to `max_chains` chains in canonical
     /// order. Fails with [`Error::UnknownService`] for a target absent
     /// from the population, and with [`Error::Query`] for a zero budget
@@ -540,16 +510,11 @@ impl<'a> BackwardQuery<'a> {
         }
         let budget = self.partial_budget();
         let tdg = self.source.graph();
-        Ok(recovery_difference(self.class, |class| {
-            let _span = self.trace.map(obs::span);
-            match self.engine {
-                Engine::Naive => {
-                    backward_chains_naive_budget(&tdg, self.target, self.max_chains, budget, class)
-                }
-                Engine::Auto => {
-                    tdg.backward().chains(self.target, self.max_chains, budget, class)
-                }
+        Ok(recovery_difference(self.class, |class| match self.engine {
+            Engine::Naive => {
+                backward_chains_naive_budget(&tdg, self.target, self.max_chains, budget, class)
             }
+            Engine::Auto => tdg.backward().chains(self.target, self.max_chains, budget, class),
         }))
     }
 
@@ -614,7 +579,6 @@ pub struct WhatifQuery<'a> {
     chains_per_target: usize,
     max_severed: usize,
     class: EdgeClass,
-    trace: Option<&'static str>,
 }
 
 impl<'a> WhatifQuery<'a> {
@@ -661,17 +625,10 @@ impl<'a> WhatifQuery<'a> {
         self
     }
 
-    /// Wraps the run in an `obs` span named `label`.
-    pub fn trace(mut self, label: &'static str) -> Self {
-        self.trace = Some(label);
-        self
-    }
-
     /// Runs the query. Fails with [`Error::Query`] if a provided
     /// patcher was compiled against a different substrate than the
     /// graph source's.
     pub fn run(&self) -> Result<WhatifReport, Error> {
-        let _span = self.trace.map(obs::span);
         let set = canonical_set(self.cms);
         let owned_patcher;
         let patcher = match self.patcher {

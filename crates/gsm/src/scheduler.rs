@@ -1,13 +1,12 @@
 //! The discrete-event core: a hierarchical timer wheel over
-//! [`SimClock`] microseconds.
+//! [`SimClock`](crate::SimClock) microseconds.
 //!
 //! The old simulator advanced a polling clock in fixed millisecond hops
 //! and re-scanned every subscriber on each hop — O(population) per
 //! step, regardless of how much was actually happening. City-scale
 //! campaigns need the opposite: time jumps straight to the next event
 //! and dispatch is O(1) per event, no matter how many cells and
-//! subscribers are idle. The wheel here follows the epoch-stamped
-//! fixed-slot design proven in `serve::reactor`, extended to two
+//! subscribers are idle. The wheel here has fixed slots on two
 //! hierarchical levels over simulated (not wall-clock) time:
 //!
 //! - **Fine level** — 256 slots of 1024 µs each (one slot ≈ one fifth

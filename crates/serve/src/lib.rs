@@ -14,9 +14,9 @@
 //!   pipelining).
 //! - [`reactor`] — the single-threaded epoll event loop that owns the
 //!   listener and every client socket: edge-triggered readiness,
-//!   per-connection state machines, an indexed timer wheel, classified
-//!   accept errors with exponential backoff, and a wakeup-fd completion
-//!   channel from the worker pool.
+//!   per-connection state machines, one ordered set holding each open
+//!   connection's deadline, classified accept errors with exponential
+//!   backoff, and a wakeup-fd completion channel from the worker pool.
 //! - [`wire`] — the JSON protocol on `obs::json`, whose parser reads
 //!   every untrusted request body in linear time and refuses nesting
 //!   past [`MAX_DEPTH`](actfort_core::obs::json::MAX_DEPTH) (`400`,

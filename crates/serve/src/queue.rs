@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 
 /// A unit of work: runs on a worker thread, sends its result through
 /// whatever channel the submitter captured.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Refusal returned by [`WorkQueue::submit`] when the queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,19 +76,27 @@ impl WorkQueue {
         self.shared.capacity
     }
 
-    /// Enqueues `job`, refusing with [`QueueFull`] when `capacity` jobs
-    /// are already pending or the queue is draining.
+    /// Enqueues a job that runs `job(input)` on a worker, refusing with
+    /// [`QueueFull`] when `capacity` jobs are already pending or the
+    /// queue is draining.
     ///
     /// # Errors
     ///
-    /// [`QueueFull`] — the caller should shed load (HTTP 503).
-    pub fn submit(&self, job: Job) -> Result<(), QueueFull> {
+    /// [`QueueFull`] together with the refused `input`, which the caller
+    /// still owns and uses to shed load (HTTP 503) — the way
+    /// [`SyncSender::try_send`](std::sync::mpsc::SyncSender::try_send)
+    /// hands back a message it could not send.
+    pub fn submit<T: Send + 'static>(
+        &self,
+        input: T,
+        job: impl FnOnce(T) + Send + 'static,
+    ) -> Result<(), (QueueFull, T)> {
         let mut state = self.shared.state.lock().expect("queue lock poisoned");
         if state.draining || state.jobs.len() >= self.shared.capacity {
             obs::add(obs_names::QUEUE_REJECTED, 1);
-            return Err(QueueFull { depth: state.jobs.len() });
+            return Err((QueueFull { depth: state.jobs.len() }, input));
         }
-        state.jobs.push_back(job);
+        state.jobs.push_back(Box::new(move || job(input)));
         obs::observe(obs_names::QUEUE_DEPTH, state.jobs.len() as u64);
         drop(state);
         self.shared.wake.notify_one();
@@ -142,9 +150,9 @@ mod tests {
         for _ in 0..10 {
             let ran = Arc::clone(&ran);
             queue
-                .submit(Box::new(move || {
+                .submit((), move |()| {
                     ran.fetch_add(1, Ordering::SeqCst);
-                }))
+                })
                 .expect("capacity 16 holds 10 jobs");
         }
         queue.drain();
@@ -160,14 +168,14 @@ mod tests {
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         queue
-            .submit(Box::new(move || {
+            .submit((), move |()| {
                 started_tx.send(()).expect("test alive");
                 gate_rx.recv().expect("gate");
-            }))
+            })
             .expect("first job runs");
         started_rx.recv().expect("worker picked up the blocker");
-        queue.submit(Box::new(|| {})).expect("second job queues");
-        let refused = queue.submit(Box::new(|| {})).expect_err("third job refused");
+        queue.submit((), |()| {}).expect("second job queues");
+        let (refused, ()) = queue.submit((), |()| {}).expect_err("third job refused");
         assert_eq!(refused.depth, 1);
         gate_tx.send(()).expect("unblock");
         queue.drain();
@@ -179,7 +187,7 @@ mod tests {
         assert_eq!(queue.workers(), 1);
         assert_eq!(queue.capacity(), 4);
         queue.shared.state.lock().expect("lock").draining = true;
-        assert!(queue.submit(Box::new(|| {})).is_err());
+        assert!(queue.submit((), |()| {}).is_err());
         queue.drain();
     }
 }

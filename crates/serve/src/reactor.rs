@@ -1,6 +1,6 @@
 //! Single-threaded event-driven reactor: raw epoll syscalls (std-only,
 //! mio-style), edge-triggered readiness, per-connection state machines
-//! and an indexed timer wheel.
+//! and one ordered set of connection deadlines.
 //!
 //! The previous server ran a nonblocking accept loop that slept a fixed
 //! 2 ms per `WouldBlock` and spawned a blocking thread per connection;
@@ -25,11 +25,14 @@
 //!   worker completes through [`CompletionSender`], which enqueues the
 //!   response and pokes the eventfd so a parked reactor wakes. Fills
 //!   from the reactor thread itself skip the eventfd write.
-//! - **Timer wheel**: a fixed-slot indexed wheel replaces the old
-//!   per-read socket timeouts and the `MID_REQUEST_STALL` instant
-//!   tracker. Each connection holds one logical deadline (idle or
-//!   mid-request stall) and at most one physical wheel entry; stale
-//!   entries are dropped lazily via the connection-id generation.
+//! - **Deadlines**: each open connection has exactly one deadline —
+//!   the idle timeout, or the stall budget while a request is in
+//!   progress, responses are unflushed or the server drains — kept as a
+//!   `(deadline, token)` entry in one ordered set. Re-arming replaces
+//!   the entry and closing removes it, so the set never holds a stale
+//!   entry. `epoll_wait` parks until the earliest deadline (or the
+//!   accept retry), and each loop iteration closes every connection
+//!   whose deadline has passed.
 //! - **Accept hygiene**: accept errors are classified
 //!   ([`classify_accept_error`]) instead of being uniformly slept on —
 //!   transient ones retry immediately, resource exhaustion (EMFILE,
@@ -49,7 +52,7 @@
 use crate::http::{self, Parse, Request, Response};
 use crate::obs_names;
 use actfort_core::obs;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -164,10 +167,12 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 /// Maximum pipelined requests in flight per connection; parsing (and
 /// eventually reading) pauses above this depth.
 const MAX_PIPELINE: usize = 32;
+/// Longest single park in `epoll_wait`, whatever the next deadline.
+const MAX_PARK_MS: u128 = 500;
 
 /// Identity of one accepted connection: a slab token plus a generation
-/// bumped on every reuse of that token, so stale completions and timer
-/// entries can never touch a successor connection.
+/// bumped on every reuse of that token, so a stale completion can never
+/// touch a successor connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnId {
     token: u32,
@@ -237,89 +242,6 @@ impl AcceptBackoff {
     }
 }
 
-/// What a fired timer belongs to.
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    /// A connection deadline (idle or stall — the connection's logical
-    /// deadline decides which at fire time). The epoch invalidates
-    /// entries armed before the connection's deadline *shortened*: a
-    /// keep-alive connection idles on a 60 s entry, and when a request
-    /// starts (stall budget, much sooner) a fresh entry is armed while
-    /// the old one is left to fire as a stale no-op.
-    Conn {
-        /// Which connection (generation-checked at fire time).
-        id: ConnId,
-        /// Which arming of that connection's timer.
-        epoch: u64,
-    },
-    /// Retry a backed-off accept.
-    AcceptRetry,
-}
-
-#[derive(Debug)]
-struct TimerEntry {
-    deadline: Instant,
-    kind: TimerKind,
-}
-
-/// Fixed-slot indexed timer wheel. Entries land `ceil(delta / tick)`
-/// slots ahead of the cursor (clamped to one lap); entries whose
-/// deadline has not arrived when their slot comes up are re-inserted,
-/// so deadlines beyond one lap cost one extra hop per lap.
-struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    cursor: usize,
-    tick: Duration,
-    anchor: Instant,
-    len: usize,
-}
-
-impl TimerWheel {
-    fn new(slots: usize, tick: Duration, now: Instant) -> Self {
-        Self { slots: (0..slots).map(|_| Vec::new()).collect(), cursor: 0, tick, anchor: now, len: 0 }
-    }
-
-    fn insert(&mut self, entry: TimerEntry, now: Instant) {
-        let delta = entry.deadline.saturating_duration_since(now);
-        let ticks = (delta.as_nanos() / self.tick.as_nanos().max(1)) as usize + 1;
-        let idx = (self.cursor + ticks.min(self.slots.len() - 1)) % self.slots.len();
-        self.slots[idx].push(entry);
-        self.len += 1;
-    }
-
-    /// Advances the cursor through every tick boundary `now` has passed
-    /// and returns the entries whose deadline is due; not-yet-due
-    /// entries from visited slots are re-inserted.
-    fn advance(&mut self, now: Instant) -> Vec<TimerEntry> {
-        let mut due = Vec::new();
-        while now.saturating_duration_since(self.anchor) >= self.tick {
-            self.anchor += self.tick;
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            let entries = std::mem::take(&mut self.slots[self.cursor]);
-            self.len -= entries.len();
-            for entry in entries {
-                if entry.deadline <= now {
-                    due.push(entry);
-                } else {
-                    self.insert(entry, now);
-                }
-            }
-        }
-        due
-    }
-
-    /// Milliseconds until the next tick boundary (the longest the
-    /// reactor should park when timers are outstanding).
-    fn next_timeout_ms(&self, now: Instant) -> i32 {
-        if self.len == 0 {
-            return 500;
-        }
-        let since = now.saturating_duration_since(self.anchor);
-        let remaining = self.tick.saturating_sub(since);
-        i32::try_from(remaining.as_millis().max(1)).unwrap_or(i32::MAX)
-    }
-}
-
 /// One in-flight request's ordered response slot.
 struct Slot {
     seq: u64,
@@ -346,11 +268,8 @@ struct Conn {
     /// Edge-triggered readiness latches.
     readable: bool,
     writable: bool,
-    /// Logical deadline, the deadline the live wheel entry will fire
-    /// at, and the epoch distinguishing the live entry from stale ones.
+    /// This connection's entry in [`Reactor::deadlines`].
     deadline: Instant,
-    armed_deadline: Option<Instant>,
-    timer_epoch: u64,
     opened: Instant,
 }
 
@@ -441,12 +360,7 @@ pub trait Handler: Send + 'static {
     fn handle(&self, request: Request, slot: ResponseSlot);
 
     /// Renders the 400 body for a protocol-malformed request.
-    fn malformed(&self, message: &str) -> Response {
-        let mut body = String::from("{\"error\":{\"code\":11,\"kind\":\"query\",\"message\":");
-        actfort_core::obs::json::write_str(&mut body, message);
-        body.push_str("}}");
-        Response::json(400, body.into_bytes())
-    }
+    fn malformed(&self, message: &str) -> Response;
 }
 
 /// The reactor. Owns the listener, the epoll instance, the wakeup
@@ -460,14 +374,17 @@ pub struct Reactor {
     generations: Vec<u32>,
     free: Vec<u32>,
     live: usize,
-    wheel: TimerWheel,
+    /// Every open connection's deadline, earliest first, as
+    /// `(deadline, token)`: exactly one entry per open connection.
+    deadlines: BTreeSet<(Instant, u32)>,
     /// How long a peer may stall *inside* a request (or with responses
     /// pending/unflushed) before the connection is closed.
     stall_timeout: Duration,
     shutdown: Arc<AtomicBool>,
     draining: bool,
     accept_ready: bool,
-    accept_paused: bool,
+    /// When a backed-off accept retries; accepting is paused until then.
+    accept_retry: Option<Instant>,
     backoff: AcceptBackoff,
 }
 
@@ -492,7 +409,6 @@ impl Reactor {
                 wakeup,
             }),
         };
-        let now = Instant::now();
         Ok(Self {
             epoll,
             listener: Some(listener),
@@ -501,12 +417,12 @@ impl Reactor {
             generations: Vec::new(),
             free: Vec::new(),
             live: 0,
-            wheel: TimerWheel::new(1024, Duration::from_millis(10), now),
+            deadlines: BTreeSet::new(),
             stall_timeout,
             shutdown,
             draining: false,
             accept_ready: true,
-            accept_paused: false,
+            accept_retry: None,
             backoff: AcceptBackoff::default(),
         })
     }
@@ -523,12 +439,7 @@ impl Reactor {
             Some(std::thread::current().id());
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
         loop {
-            let now = Instant::now();
-            let timeout = if self.accept_ready && !self.draining && !self.accept_paused {
-                0
-            } else {
-                self.wheel.next_timeout_ms(now)
-            };
+            let timeout = self.park_ms(Instant::now());
             let n = sys::wait(self.epoll.as_raw_fd(), &mut events, timeout).unwrap_or_default();
             obs::add(obs_names::REACTOR_POLLS, 1);
             let now = Instant::now();
@@ -563,7 +474,7 @@ impl Reactor {
             if self.shutdown.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain(&handler, now);
             }
-            if self.accept_ready && !self.draining && !self.accept_paused {
+            if self.accepting() {
                 self.accept_burst(now);
             }
             for token in touched {
@@ -575,17 +486,7 @@ impl Reactor {
                 self.begin_drain(&handler, now);
                 self.apply_completions(&handler, now);
             }
-            for entry in self.wheel.advance(Instant::now()) {
-                match entry.kind {
-                    TimerKind::Conn { id, epoch } => {
-                        self.fire_conn_timer(id, epoch, Instant::now());
-                    }
-                    TimerKind::AcceptRetry => {
-                        self.accept_paused = false;
-                        self.accept_ready = true;
-                    }
-                }
-            }
+            self.expire(Instant::now());
             if self.draining && self.live == 0 {
                 break;
             }
@@ -598,6 +499,12 @@ impl Reactor {
     }
 
     // ---- accept path ----------------------------------------------
+
+    /// The listener has pending connections and accepting is neither
+    /// stopped by drain nor backed off.
+    fn accepting(&self) -> bool {
+        self.accept_ready && !self.draining && self.accept_retry.is_none()
+    }
 
     fn accept_burst(&mut self, now: Instant) {
         for _ in 0..ACCEPTS_PER_BURST {
@@ -625,12 +532,7 @@ impl Reactor {
                         } else {
                             obs::add(obs_names::ACCEPT_RESOURCE, 1);
                         }
-                        let delay = self.backoff.next_delay();
-                        self.accept_paused = true;
-                        self.wheel.insert(
-                            TimerEntry { deadline: now + delay, kind: TimerKind::AcceptRetry },
-                            now,
-                        );
+                        self.accept_retry = Some(now + self.backoff.next_delay());
                         return;
                     }
                 },
@@ -669,8 +571,6 @@ impl Reactor {
             readable: true,
             writable: true,
             deadline: now + IDLE_TIMEOUT,
-            armed_deadline: None,
-            timer_epoch: 0,
             opened: now,
         });
         self.live += 1;
@@ -837,12 +737,10 @@ impl Reactor {
 
     // ---- timers ----------------------------------------------------
 
-    /// Sets the connection's logical deadline from its state (stall
-    /// while work is in progress, idle otherwise) and guarantees one
-    /// physical wheel entry exists.
+    /// Sets the connection's deadline from its state (stall while work
+    /// is in progress, idle otherwise) and replaces its entry in the
+    /// deadline set.
     fn arm_timer(&mut self, token: u32, now: Instant) {
-        let (idle, stall) = (IDLE_TIMEOUT, self.stall_timeout);
-        let draining = self.draining;
         let Some(conn) = self.conns.get_mut(token as usize).and_then(Option::as_mut) else {
             return;
         };
@@ -852,38 +750,42 @@ impl Reactor {
         // During drain, idle keep-alive connections get the (shorter)
         // stall budget instead of the full idle timeout, bounding drain
         // time even if a peer never closes.
-        let timeout = if busy || draining { stall } else { idle };
+        let timeout = if busy || self.draining { self.stall_timeout } else { IDLE_TIMEOUT };
+        self.deadlines.remove(&(conn.deadline, token));
         conn.deadline = now + timeout;
-        // A *later* deadline rides the existing entry (it fires early,
-        // sees the extension and re-queues); an *earlier* one must arm
-        // a fresh entry or it would only be noticed at the old fire
-        // time. The epoch bump turns the superseded entry into a no-op.
-        let needs_entry = conn.armed_deadline.map_or(true, |armed| conn.deadline < armed);
-        if needs_entry {
-            conn.timer_epoch += 1;
-            conn.armed_deadline = Some(conn.deadline);
-            let (id, epoch, deadline) = (conn.id, conn.timer_epoch, conn.deadline);
-            self.wheel.insert(TimerEntry { deadline, kind: TimerKind::Conn { id, epoch } }, now);
+        self.deadlines.insert((conn.deadline, token));
+    }
+
+    /// Closes every connection whose deadline has passed, and ends an
+    /// accept back-off whose retry time has come.
+    fn expire(&mut self, now: Instant) {
+        while let Some(&(deadline, token)) = self.deadlines.first() {
+            if deadline > now {
+                break;
+            }
+            self.deadlines.remove(&(deadline, token));
+            obs::add(obs_names::CONN_TIMEOUTS, 1);
+            self.close(token, now);
+        }
+        if self.accept_retry.is_some_and(|retry| retry <= now) {
+            self.accept_retry = None;
+            self.accept_ready = true;
         }
     }
 
-    fn fire_conn_timer(&mut self, id: ConnId, epoch: u64, now: Instant) {
-        let Some(conn) = self.conns.get_mut(id.token as usize).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.id != id || conn.timer_epoch != epoch {
-            return; // Token reused, or the entry was superseded.
+    /// How long `epoll_wait` may park: not at all while accepts are
+    /// pending, otherwise until the earliest deadline or accept retry,
+    /// rounded up to whole milliseconds (so the reactor never wakes
+    /// just before it), at least 1 ms and at most [`MAX_PARK_MS`].
+    fn park_ms(&self, now: Instant) -> i32 {
+        if self.accepting() {
+            return 0;
         }
-        if conn.deadline <= now {
-            obs::add(obs_names::CONN_TIMEOUTS, 1);
-            self.close(id.token, now);
-        } else {
-            // The logical deadline moved later since this entry was
-            // armed; keep the same epoch and ride until it is due.
-            conn.armed_deadline = Some(conn.deadline);
-            let deadline = conn.deadline;
-            self.wheel.insert(TimerEntry { deadline, kind: TimerKind::Conn { id, epoch } }, now);
-        }
+        let next = self.deadlines.first().map(|&(deadline, _)| deadline);
+        let wait_ms = next.into_iter().chain(self.accept_retry).min().map_or(MAX_PARK_MS, |at| {
+            at.saturating_duration_since(now).as_nanos().div_ceil(1_000_000)
+        });
+        wait_ms.clamp(1, MAX_PARK_MS) as i32
     }
 
     // ---- lifecycle -------------------------------------------------
@@ -916,6 +818,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(token as usize).and_then(Option::take) else {
             return;
         };
+        self.deadlines.remove(&(conn.deadline, token));
         let _ = sys::del(self.epoll.as_raw_fd(), conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         self.generations[token as usize] = self.generations[token as usize].wrapping_add(1);
@@ -998,49 +901,5 @@ mod tests {
         assert_eq!(delays[9], 1280, "stays capped");
         backoff.reset();
         assert_eq!(backoff.next_delay().as_millis(), 10, "reset restarts the schedule");
-    }
-
-    #[test]
-    fn timer_wheel_fires_due_entries_and_requeues_far_ones() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(8, Duration::from_millis(10), start);
-        // Due within one lap.
-        wheel.insert(
-            TimerEntry {
-                deadline: start + Duration::from_millis(30),
-                kind: TimerKind::AcceptRetry,
-            },
-            start,
-        );
-        // Beyond one lap (8 slots × 10 ms): must survive a wrap.
-        wheel.insert(
-            TimerEntry {
-                deadline: start + Duration::from_millis(200),
-                kind: TimerKind::AcceptRetry,
-            },
-            start,
-        );
-        assert_eq!(wheel.len, 2);
-        let due = wheel.advance(start + Duration::from_millis(45));
-        assert_eq!(due.len(), 1, "only the 30 ms entry is due at 45 ms");
-        let due = wheel.advance(start + Duration::from_millis(120));
-        assert!(due.is_empty(), "the 200 ms entry re-queued across the wrap");
-        let due = wheel.advance(start + Duration::from_millis(210));
-        assert_eq!(due.len(), 1, "the far entry fires once due");
-        assert_eq!(wheel.len, 0);
-    }
-
-    #[test]
-    fn timer_wheel_timeout_tracks_tick_boundary() {
-        let start = Instant::now();
-        let wheel = TimerWheel::new(8, Duration::from_millis(10), start);
-        assert_eq!(wheel.next_timeout_ms(start), 500, "empty wheel parks long");
-        let mut wheel = TimerWheel::new(8, Duration::from_millis(10), start);
-        wheel.insert(
-            TimerEntry { deadline: start + Duration::from_millis(5), kind: TimerKind::AcceptRetry },
-            start,
-        );
-        let ms = wheel.next_timeout_ms(start);
-        assert!((1..=10).contains(&ms), "armed wheel parks at most one tick, got {ms}");
     }
 }

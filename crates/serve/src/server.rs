@@ -3,12 +3,12 @@
 //!
 //! Threading model: one reactor thread owns the listener and every
 //! client socket ([`crate::reactor::Reactor`]); it parses requests and
-//! hands each one to [`Svc`], which answers cheap endpoints (health,
+//! hands each one to `Svc`, which answers cheap endpoints (health,
 //! metrics, admin, cache hits) inline on the reactor thread and pushes
 //! analysis work onto the bounded [`WorkQueue`]. Workers complete
 //! responses back through the reactor's wakeup fd, so no thread ever
 //! blocks on another request's compute. Responses are built from
-//! exactly one [`Snapshot`] loaded at request start, so a concurrent
+//! exactly one [`Snapshot`](crate::snapshot::Snapshot) loaded at request start, so a concurrent
 //! hot-swap can never tear a response.
 //!
 //! The four analysis routes differ only in how they parse, key and
@@ -31,7 +31,7 @@ use actfort_core::{obs, Countermeasure, Error};
 use actfort_ecosystem::policy::Platform;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -357,10 +357,8 @@ fn metrics(_shared: &Arc<Shared>, _request: &Request, start: Instant, slot: Resp
 }
 
 /// Moves `job` (which owns the response slot) onto the worker pool,
-/// shedding with `503` + `Retry-After` when the bounded queue is full.
-/// The slot travels through a shared cell so a refused submission can
-/// still answer: [`WorkQueue::submit`] consumes the job either way, but
-/// only a queued one ever runs.
+/// shedding with `503` + `Retry-After` when the bounded queue is full:
+/// [`WorkQueue::submit`] hands a refused slot back, and it answers.
 fn submit_or_shed(
     shared: &Arc<Shared>,
     histogram: &'static str,
@@ -368,19 +366,13 @@ fn submit_or_shed(
     slot: ResponseSlot,
     job: impl FnOnce(ResponseSlot) + Send + 'static,
 ) {
-    let cell = Arc::new(Mutex::new(Some(slot)));
-    let job_cell = Arc::clone(&cell);
     let enqueued = Instant::now();
-    let submitted = shared.queue.submit(Box::new(move || {
+    let submitted = shared.queue.submit(slot, move |slot| {
         obs::record_ns(obs_names::QUEUE_WAIT_NS, elapsed_ns(enqueued));
-        if let Some(slot) = job_cell.lock().expect("slot cell poisoned").take() {
-            job(slot);
-        }
-    }));
-    if let Err(full) = submitted {
-        if let Some(slot) = cell.lock().expect("slot cell poisoned").take() {
-            finish(histogram, start, slot, overloaded(full.depth));
-        }
+        job(slot);
+    });
+    if let Err((full, slot)) = submitted {
+        finish(histogram, start, slot, overloaded(full.depth));
     }
 }
 

@@ -65,6 +65,54 @@ fn stalled_mid_request_connection_is_timed_out() {
     handle.shutdown();
 }
 
+/// One connection's deadline grows and then shrinks again: answered and
+/// left idle past the stall budget, a keep-alive connection still lives
+/// on its idle timeout and serves a second request; a request head that
+/// then stalls is closed on the stall budget, not the idle timeout.
+#[test]
+fn keep_alive_outlives_the_stall_budget_then_a_stalled_request_is_closed() {
+    let handle = server(ServerConfig {
+        stall_timeout: Duration::from_millis(150),
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let request = b"GET /healthz HTTP/1.1\r\nhost: actfort\r\ncontent-length: 0\r\n\r\n";
+    let read_status = |stream: &mut TcpStream| {
+        let mut response = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !response.windows(4).any(|w| w == b"\r\n\r\n") {
+            let n = stream.read(&mut buf).expect("read");
+            assert!(n > 0, "server closed a keep-alive connection before answering");
+            response.extend_from_slice(&buf[..n]);
+        }
+        String::from_utf8_lossy(&response).into_owned()
+    };
+
+    stream.write_all(request).expect("first request");
+    let first = read_status(&mut stream);
+    assert!(first.starts_with("HTTP/1.1 200"), "expected 200, got {first}");
+
+    // Idle well past the stall budget, but far inside the idle timeout.
+    std::thread::sleep(Duration::from_millis(400));
+    stream.write_all(request).expect("second request");
+    let second = read_status(&mut stream);
+    assert!(second.starts_with("HTTP/1.1 200"), "expected 200 after idling, got {second}");
+
+    // Half a request head, then silence: the stall budget applies again.
+    stream.write_all(b"GET /healthz HTTP/1.1\r\nhost: act").expect("write");
+    stream.flush().expect("flush");
+    let started = Instant::now();
+    let mut buf = [0u8; 64];
+    let n = stream.read(&mut buf).expect("read should see EOF, not error");
+    assert_eq!(n, 0, "server must close a stalled connection");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "close must come from the stall timer, not the idle timeout"
+    );
+    handle.shutdown();
+}
+
 /// Eight connections pipelining the same request sequence all receive
 /// responses byte-identical to the sequential golden bodies, in order.
 #[test]
