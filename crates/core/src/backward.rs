@@ -28,6 +28,7 @@
 
 use crate::analysis::{canonicalize_chains, AttackChain, ChainStep, MAX_CHAIN_STEPS};
 use crate::obs;
+use crate::prepared::{bit, set_bit};
 use crate::tdg::Tdg;
 use actfort_ecosystem::factor::ServiceId;
 use actfort_ecosystem::policy::EdgeClass;
@@ -65,16 +66,6 @@ struct Partial {
     unresolved: Vec<u32>,
     /// Visited bitset, one bit per graph node.
     visited: Vec<u64>,
-}
-
-#[inline]
-fn bit(words: &[u64], i: u32) -> bool {
-    words[(i >> 6) as usize] & (1u64 << (i & 63)) != 0
-}
-
-#[inline]
-fn set_bit(words: &mut [u64], i: u32) {
-    words[(i >> 6) as usize] |= 1u64 << (i & 63);
 }
 
 /// The flattened adjacency and fringe-support memo for one edge-class

@@ -268,7 +268,7 @@ fn apply_one(spec: &ServiceSpec, cm: Countermeasure) -> ServiceSpec {
 /// which nodes each one actually rewrites (`apply_one(s, cm) != s`).
 /// After that, [`Patcher::patch`] costs only the union blast radius of
 /// the requested set: the touched specs are rewritten and recompiled
-/// against the base's interned id space ([`Prepared::compile_patch`]),
+/// against the base's interned id space (`Prepared::compile_patch`),
 /// everything else stays shared. The subset space is `2^|all()|`
 /// (thirty-two with five countermeasures), so compiled patches are
 /// memoized for the life of the base — a `/whatif` sweep re-running a subset is a pure cache

@@ -7,7 +7,8 @@
 //! 1. `forward_patched` over a compiled [`SubstratePatch`] returns the
 //!    exact [`ForwardResult`] of a cold `Prepared::new(apply_all(...))`
 //!    compile of the rewritten population — rounds, records and
-//!    survivors byte-identical.
+//!    survivors byte-identical — under every edge class, memo on and
+//!    off.
 //! 2. The `Analysis::whatif` facade's before/after breakdowns equal the
 //!    `counter::evaluate` spec-rewrite reference bit for bit (`f64`
 //!    equality, not tolerance — both classify through the shared
@@ -68,14 +69,22 @@ fn patched_forward_equals_cold_recompile_for_every_subset() {
             let base = patcher.base();
             for subset in subsets() {
                 let patch = patcher.patch(&subset);
-                let patched =
-                    base.forward_patched(&mut base.scratch(), &patch, EdgeClass::All, &[], true);
                 let cold = Prepared::new(&apply_all(&specs, &subset), platform, ap);
-                let cold = cold.forward(&mut cold.scratch(), EdgeClass::All, &[], true);
-                assert_eq!(
-                    patched, cold,
-                    "{name} {platform} {subset:?}: patched substrate diverged from recompile"
-                );
+                // Every edge class reads its own pathset slot, and a
+                // patch can mint ids for those slots; the memo-off run
+                // checks the answers without the slots.
+                for class in EdgeClass::all() {
+                    for memo in [true, false] {
+                        let patched =
+                            base.forward_patched(&mut base.scratch(), &patch, class, &[], memo);
+                        let recompiled = cold.forward(&mut cold.scratch(), class, &[], memo);
+                        assert_eq!(
+                            patched, recompiled,
+                            "{name} {platform} {subset:?} {class:?} memo={memo}: \
+                             patched substrate diverged from recompile"
+                        );
+                    }
+                }
             }
         }
     }

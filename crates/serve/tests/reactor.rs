@@ -7,7 +7,7 @@
 //! writes, abrupt disconnects) is the point, and [`Client`] where the
 //! protocol is.
 
-use actfort_serve::{start, Client, ServerConfig};
+use actfort_serve::{start, Client, ServerConfig, CODE_SERVE_OVERLOADED};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -176,7 +176,8 @@ fn mid_response_disconnects_and_token_reuse_do_not_wedge_the_server() {
     for i in 0..30 {
         let mut stream = TcpStream::connect(addr).expect("connect");
         // A compute-bound request whose worker will complete after the
-        // socket is gone (distinct bodies dodge the response cache).
+        // socket is gone. Only two distinct bodies exist; arriving at
+        // once, the requests are still cache misses when dispatched.
         let body = format!("{{\"seeds\":[],\"engine\":\"naive\",\"memo\":{}}}", i % 2 == 0);
         let raw = format!(
             "POST /v1/forward HTTP/1.1\r\nhost: actfort\r\ncontent-length: {}\r\n\r\n{}",
@@ -190,7 +191,20 @@ fn mid_response_disconnects_and_token_reuse_do_not_wedge_the_server() {
     let mut client = Client::connect(addr).expect("connect");
     let resp = client.get("/healthz").expect("healthz after disconnect storm");
     assert_eq!(resp.status, 200);
-    let resp = client.post("/v1/forward", br#"{"seeds":["gmail"]}"#).expect("forward");
+    // The storm's naive jobs may still fill the analysis queue (2
+    // workers × 4 slots); they run to completion even though their
+    // clients are gone. Only that shed (503 with the overload code) is
+    // retried, within a bounded deadline, and the answer must end 200.
+    let overloaded = format!("\"code\":{CODE_SERVE_OVERLOADED}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let resp = loop {
+        let resp = client.post("/v1/forward", br#"{"seeds":["gmail"]}"#).expect("forward");
+        let shed = resp.status == 503 && resp.text().contains(&overloaded);
+        if !shed || Instant::now() >= deadline {
+            break resp;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
     assert_eq!(resp.status, 200, "{}", resp.text());
     handle.shutdown();
 }
