@@ -26,8 +26,9 @@ cargo run --release -q -p actfort-bench --bin fig3 -- --trace "$trace_tmp/fig3.j
 cargo run --release -q -p actfort-bench --bin trace_check -- "$trace_tmp/fig3.json" \
     metrics.sms_only metrics.factor_usage metrics.multi_factor
 
-echo "==> backward smoke: curated + paper:2021, web + mobile: engine exhaustive everywhere, ≡ naive wherever naive finishes"
-cargo run --release -q -p actfort-bench --bin backward_smoke
+echo "==> backward smoke: curated + paper:2021, web + mobile: graph build <= 2 ms each, engine exhaustive everywhere, ≡ naive wherever naive finishes"
+cargo run --release -q -p actfort-bench --bin backward_smoke -- --max-graph-build-ms 2 \
+    --out "$trace_tmp/bench_graph.json"
 
 echo "==> batch smoke: shared-substrate sweep speedup (skips on <4 threads)"
 cargo run --release -q -p actfort-bench --bin batch_check

@@ -9,14 +9,23 @@
 //! proves nothing, so the bin lists the target instead. Exits non-zero
 //! on any divergence or any cut engine search — wired into `ci.sh`.
 //!
+//! Before the sweep it times the graph build of each of the four
+//! graphs: `Prepared::new` and `Tdg::build` (which compiles the
+//! substrate and classifies the edges on it), best of 20 each, with the
+//! recorder off. It writes them as a `"graph_build"` section of
+//! `BENCH_forward.json` (or `--out`) and exits non-zero when the slowest
+//! `Tdg::build` exceeds `--max-graph-build-ms`.
+//!
 //! ```sh
 //! cargo run --release -p actfort-bench --bin backward_smoke
+//! cargo run --release -p actfort-bench --bin backward_smoke -- \
+//!     --max-graph-build-ms 2 --out BENCH_forward.json
 //! ```
 
-use actfort_bench::EXPERIMENT_SEED;
+use actfort_bench::{splice_section, EXPERIMENT_SEED};
 use actfort_core::profile::AttackerProfile;
 use actfort_core::query::{Analysis, Engine};
-use actfort_core::{obs, Tdg};
+use actfort_core::{obs, Prepared, Tdg};
 use actfort_ecosystem::dataset::curated_services;
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::spec::ServiceSpec;
@@ -24,6 +33,50 @@ use actfort_ecosystem::synth::paper_population;
 use std::time::{Duration, Instant};
 
 const MAX_CHAINS: usize = 8;
+
+/// Timed repetitions per graph build; the best one is kept.
+const BUILD_REPS: usize = 20;
+
+/// Best-of-[`BUILD_REPS`] wall time of `build`, in nanoseconds.
+fn best_ns<T>(mut build: impl FnMut() -> T) -> u128 {
+    (0..BUILD_REPS)
+        .map(|_| {
+            let started = Instant::now();
+            std::hint::black_box(build());
+            started.elapsed().as_nanos()
+        })
+        .min()
+        .expect("at least one repetition")
+}
+
+/// Times one graph build and returns its `"graph_build"` entry and the
+/// best `Tdg::build` time.
+fn time_build(population: &str, specs: &[ServiceSpec], platform: Platform) -> (String, u128) {
+    let ap = AttackerProfile::paper_default();
+    let prepare_ns = best_ns(|| Prepared::new(specs, platform, ap));
+    let build_ns = best_ns(|| Tdg::build(specs, platform, ap));
+    let tdg = Tdg::build(specs, platform, ap);
+    println!(
+        "{population}/{platform:?}: graph build {:.3} ms (prepare {:.3} ms), {} nodes, \
+         {} strong edges, {} couples",
+        build_ns as f64 / 1e6,
+        prepare_ns as f64 / 1e6,
+        tdg.node_count(),
+        tdg.strong_edge_count(),
+        tdg.couples().len(),
+    );
+    let entry = format!(
+        "{{\"population\": \"{population}\", \"platform\": \"{platform}\", \"services\": {}, \
+         \"nodes\": {}, \"prepare_ns\": {prepare_ns}, \"build_ns\": {build_ns}, \
+         \"edges_ns\": {}, \"strong_edges\": {}, \"couples\": {}}}",
+        specs.len(),
+        tdg.node_count(),
+        build_ns.saturating_sub(prepare_ns),
+        tdg.strong_edge_count(),
+        tdg.couples().len(),
+    );
+    (entry, build_ns)
+}
 
 /// Sweeps one population; returns how many targets the naive search
 /// could not finish.
@@ -74,14 +127,54 @@ fn sweep(label: &str, specs: &[ServiceSpec], platform: Platform) -> usize {
 }
 
 fn main() {
+    let mut out = String::from("BENCH_forward.json");
+    let mut max_build_ms: Option<f64> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().expect("flag requires a value");
+        match flag.as_str() {
+            "--out" => out = value(),
+            "--max-graph-build-ms" => {
+                max_build_ms = Some(value().parse().expect("--max-graph-build-ms takes a number"));
+            }
+            other => panic!("unknown flag {other:?}"),
+        }
+    }
+
     let started = Instant::now();
+    let populations =
+        [("curated", curated_services()), ("paper:2021", paper_population(EXPERIMENT_SEED))];
+    let (mut entries, mut worst_ns) = (Vec::new(), 0u128);
+    for (name, specs) in &populations {
+        for platform in [Platform::Web, Platform::MobileApp] {
+            let (entry, build_ns) = time_build(name, specs, platform);
+            entries.push(entry);
+            worst_ns = worst_ns.max(build_ns);
+        }
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bound = max_build_ms.map_or_else(|| "null".to_string(), |ms| ms.to_string());
+    let section = format!(
+        "{{\"threads_available\": {threads}, \"reps\": {BUILD_REPS}, \
+         \"max_graph_build_ms\": {bound}, \"worst_build_ns\": {worst_ns}, \"graphs\": [{}]}}",
+        entries.join(", ")
+    );
+    splice_section(&out, "forward", "graph_build", &section);
+    println!("backward smoke: \"graph_build\" section written to {out}");
+    if let Some(ms) = max_build_ms {
+        let worst_ms = worst_ns as f64 / 1e6;
+        assert!(
+            worst_ms <= ms,
+            "graph-build gate: the slowest Tdg::build took {worst_ms:.3} ms, the bound is {ms} ms"
+        );
+        println!("backward smoke: graph-build gate OK ({worst_ms:.3} ms <= {ms} ms)");
+    }
+
     obs::set_enabled(true);
     let mut naive_cut = 0;
-    for (name, specs) in
-        [("curated", curated_services()), ("paper:2021", paper_population(EXPERIMENT_SEED))]
-    {
+    for (name, specs) in &populations {
         for platform in [Platform::Web, Platform::MobileApp] {
-            naive_cut += sweep(&format!("{name}/{platform:?}"), &specs, platform);
+            naive_cut += sweep(&format!("{name}/{platform:?}"), specs, platform);
         }
     }
     obs::set_enabled(false);

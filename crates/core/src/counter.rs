@@ -348,7 +348,7 @@ impl Patcher {
                 (i, s)
             })
             .collect();
-        let patch = Arc::new(self.base.compile_patch(&rewrites));
+        let patch = Arc::new(self.base.compile_patch(rewrites));
         let mut slot = self.cache.lock().expect("patch cache poisoned");
         // A racing compile of the same subset keeps the first one in.
         if let Some(existing) = &slot[mask] {

@@ -63,12 +63,12 @@ static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 /// Tracked-kind bit positions — the six identity facts the
 /// customer-service fact count consults, in order: RealName, CitizenId,
 /// CellphoneNumber, Address, BankcardNumber, SecurityAnswers.
-const BIT_REAL_NAME: u8 = 1 << 0;
-const BIT_CITIZEN_ID: u8 = 1 << 1;
-const BIT_CELLPHONE: u8 = 1 << 2;
-const BIT_ADDRESS: u8 = 1 << 3;
-const BIT_BANKCARD: u8 = 1 << 4;
-const BIT_SECURITY: u8 = 1 << 5;
+pub(crate) const BIT_REAL_NAME: u8 = 1 << 0;
+pub(crate) const BIT_CITIZEN_ID: u8 = 1 << 1;
+pub(crate) const BIT_CELLPHONE: u8 = 1 << 2;
+pub(crate) const BIT_ADDRESS: u8 = 1 << 3;
+pub(crate) const BIT_BANKCARD: u8 = 1 << 4;
+pub(crate) const BIT_SECURITY: u8 = 1 << 5;
 
 /// Positions of the six tracked kinds inside the
 /// [`PersonalInfoKind::all`] ordering, used to project a pool
@@ -173,7 +173,7 @@ impl CPath {
     /// customer-service fact count) covers its residue, and `owns`
     /// accepts every linked provider.
     #[inline]
-    fn fires(
+    pub(crate) fn fires(
         &self,
         class: EdgeClass,
         factors: u16,
@@ -234,7 +234,7 @@ pub(crate) struct Node {
     /// Satisfiable by the profile alone (the `min_providers == 0`
     /// case, a compile-time constant), per edge class
     /// ([`class_index`] order).
-    open: [bool; 3],
+    pub(crate) open: [bool; 3],
     /// Interned pathset id for the `min_providers` memo, per edge
     /// class; `None` when any class-admitted path names a
     /// `LinkedAccount` (candidate set is then target-specific,
@@ -552,7 +552,7 @@ impl Prepared {
     /// Replacement specs must keep their service id and platform flags
     /// (countermeasures transform policies, never the population
     /// membership); node ids and the link topology therefore stay valid.
-    pub(crate) fn compile_patch(&self, rewrites: &[(u32, ServiceSpec)]) -> SubstratePatch {
+    pub(crate) fn compile_patch(&self, rewrites: Vec<(u32, ServiceSpec)>) -> SubstratePatch {
         let _span = obs::span("patch.compile");
         obs::add("engine.patches", 1);
         obs::add("engine.patch_nodes", rewrites.len() as u64);
@@ -569,13 +569,14 @@ impl Prepared {
         let providers = rewrites.iter().map(|(_, s)| c.provider(s)).collect();
         let nodes = rewrites.iter().map(|(i, s)| c.node(*i, s)).collect();
         c.subs.finish();
+        let (touched, specs) = rewrites.into_iter().unzip();
         SubstratePatch {
             base_stamp: self.stamp,
-            touched: rewrites.iter().map(|(i, _)| *i).collect(),
+            touched,
             slot_of,
             providers,
             nodes,
-            specs: rewrites.iter().map(|(_, s)| s.clone()).collect(),
+            specs,
             classes: c.classes.len(),
             pathsets: c.pathsets.len(),
             subs: c.subs,
@@ -1327,7 +1328,7 @@ mod tests {
                 let base = Prepared::new(specs, platform, AttackerProfile::paper_default());
                 let rewrites: Vec<(u32, ServiceSpec)> =
                     (0..).zip(base.specs().iter().cloned()).collect();
-                let patch = base.compile_patch(&rewrites);
+                let patch = base.compile_patch(rewrites);
                 assert_eq!(patch.classes, base.class_of.len(), "{platform}: class ids minted");
                 assert_eq!(patch.pathsets, base.pathset_of.len(), "{platform}: pathset ids minted");
                 for class in EdgeClass::all() {

@@ -6,22 +6,39 @@
 //! complete authentication path of `v` (Definition 1). **Couple nodes**
 //! jointly satisfying a path produce *weak-directivity edges* recorded in
 //! the Couple File (Definitions 2–3).
+//!
+//! Every edge is decided on the graph's own compiled [`Prepared`]
+//! substrate: a candidate group's compiled `Provider`s are absorbed into
+//! a `RunState` and the target's outstanding compiled paths are tested
+//! with `CPath::fires`, the same firing rule the forward fixed point
+//! and `min_providers` run. No `InfoPool` is built.
 
 use crate::backward::BackwardEngine;
-use crate::pool::{attack_paths, attack_paths_in, path_satisfied, InfoPool};
-use crate::prepared::Prepared;
+use crate::pool::attack_paths;
+use crate::prepared::{
+    class_index, CPath, Prepared, Provider, RunState, BIT_ADDRESS, BIT_BANKCARD, BIT_CELLPHONE,
+    BIT_CITIZEN_ID, BIT_REAL_NAME, BIT_SECURITY,
+};
 use crate::profile::AttackerProfile;
-use actfort_ecosystem::factor::ServiceId;
+use actfort_ecosystem::factor::{CredentialFactor, ServiceId};
+use actfort_ecosystem::info::{Masking, PersonalInfoKind};
 use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Maximum couple group size searched (the combinatorial cut-off).
 pub const MAX_COUPLE_SIZE: usize = 3;
 /// Maximum couple entries recorded per target node.
 pub const MAX_COUPLES_PER_TARGET: usize = 64;
+
+/// Shown-mask bit for `Photos`, past the six tracked-kind bits: a
+/// non-hidden photo archive counts toward a `CitizenId` factor.
+const SHOWN_PHOTOS: u8 = 1 << 6;
+
+/// The kinds whose non-hidden exposure counts toward a
+/// `CustomerService` factor (`SecurityAnswers` does not).
+const SHOWN_DOSSIER: u8 = BIT_REAL_NAME | BIT_CITIZEN_ID | BIT_ADDRESS | BIT_BANKCARD | BIT_CELLPHONE;
 
 /// One entry of the Couple File: `providers` jointly unlock `target`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,11 +59,11 @@ pub struct CoupleEntry {
 /// Owns the [`Prepared`] analysis substrate for its
 /// `(population, platform, profile)` triple — built once here, shared by
 /// every forward query routed through the graph (and by batch sweeps,
-/// via the `Arc`). The platform-filtered spec list lives inside the
-/// substrate; the graph no longer keeps its own copy. It also owns the
-/// [`BackwardEngine`] every backward query runs, built on first use
-/// ([`Tdg::backward`]), so graphs that only answer forward queries
-/// never pay for it.
+/// via the `Arc`). The edges are classified on that substrate's compiled
+/// paths and providers, and the platform-filtered spec list lives inside
+/// it too. The graph also owns the [`BackwardEngine`] every backward
+/// query runs, built on first use ([`Tdg::backward`]), so graphs that
+/// only answer forward queries never pay for it.
 #[derive(Debug, Clone)]
 pub struct Tdg {
     platform: Platform,
@@ -64,29 +81,82 @@ pub struct Tdg {
     couples: Vec<CoupleEntry>,
 }
 
-/// Whether `provider` exposes information that partially covers `factor`
-/// (masked views that could combine with others').
-fn contributes_partially(
-    factor: &actfort_ecosystem::factor::CredentialFactor,
-    provider: &ServiceSpec,
-    platform: Platform,
-) -> bool {
-    use actfort_ecosystem::factor::CredentialFactor as F;
-    use actfort_ecosystem::info::{Masking, PersonalInfoKind as K};
-    let exposes_some = |kind: K| {
-        provider
-            .exposure_on(platform)
-            .iter()
-            .any(|e| e.kind == kind && e.masking != Masking::Hidden)
-    };
-    match factor {
-        F::CitizenId => exposes_some(K::CitizenId) || exposes_some(K::Photos),
-        F::BankcardNumber => exposes_some(K::BankcardNumber),
-        F::CellphoneNumber => exposes_some(K::CellphoneNumber),
-        F::CustomerService => [K::RealName, K::CitizenId, K::Address, K::BankcardNumber, K::CellphoneNumber]
-            .into_iter()
-            .any(exposes_some),
-        _ => false,
+/// Kinds a spec shows at all on `platform` (any non-hidden exposure,
+/// masked or not), as tracked-kind bits plus [`SHOWN_PHOTOS`].
+fn shown_kinds(spec: &ServiceSpec, platform: Platform) -> u8 {
+    use PersonalInfoKind as K;
+    spec.exposure_on(platform)
+        .iter()
+        .filter(|e| e.masking != Masking::Hidden)
+        .fold(0, |bits, e| {
+            bits | match e.kind {
+                K::RealName => BIT_REAL_NAME,
+                K::CitizenId => BIT_CITIZEN_ID,
+                K::CellphoneNumber => BIT_CELLPHONE,
+                K::Address => BIT_ADDRESS,
+                K::BankcardNumber => BIT_BANKCARD,
+                K::SecurityAnswers => BIT_SECURITY,
+                K::Photos => SHOWN_PHOTOS,
+                _ => 0,
+            }
+        })
+}
+
+/// What a target still needs from a couple candidate: the union, over
+/// every attack path (dead ones included), of the factors the profile
+/// alone leaves unsatisfied. A provider is a candidate when it satisfies
+/// one of those factors alone or shows information that partially
+/// covers one.
+#[derive(Default)]
+struct Needs {
+    /// Tracked kinds only a fully known value helps (`RealName`,
+    /// `SecurityQuestion`), tested against [`Provider::eff`].
+    full: u8,
+    /// Kinds any non-hidden exposure helps, tested against the shown
+    /// mask (`CitizenId` also reads `Photos`).
+    shown: u8,
+    /// An unintercepted `EmailCode`/`EmailLink`.
+    email: bool,
+    /// A `CustomerService` dossier the profile alone cannot fill.
+    cs: bool,
+    /// `LinkedAccount` providers present in the population.
+    links: Vec<u32>,
+}
+
+impl Needs {
+    fn of(spec: &ServiceSpec, prepared: &Prepared) -> Self {
+        use CredentialFactor as F;
+        let ap = prepared.attacker_profile();
+        let mut needs = Self::default();
+        for f in attack_paths(spec, prepared.platform()).into_iter().flat_map(|p| &p.factors) {
+            match f {
+                F::CellphoneNumber if !ap.knows_phone_number => needs.shown |= BIT_CELLPHONE,
+                F::EmailCode | F::EmailLink if !ap.email_interception => needs.email = true,
+                F::RealName if !ap.social_engineering_db => needs.full |= BIT_REAL_NAME,
+                F::CitizenId => needs.shown |= BIT_CITIZEN_ID | SHOWN_PHOTOS,
+                F::BankcardNumber => needs.shown |= BIT_BANKCARD,
+                F::SecurityQuestion => needs.full |= BIT_SECURITY,
+                F::CustomerService if prepared.ap_kinds.count_ones() < 3 => {
+                    needs.shown |= SHOWN_DOSSIER;
+                    needs.cs = true;
+                }
+                F::LinkedAccount(id) => needs.links.extend(prepared.ids.get(id)),
+                // Satisfied by the profile, or satisfiable by no single
+                // provider (an unintercepted SMS code).
+                _ => {}
+            }
+        }
+        needs
+    }
+
+    /// Whether provider `j` (compiled as `p`, showing `shown`) moves at
+    /// least one needed factor.
+    fn attracts(&self, j: u32, p: &Provider, shown: u8, ap_kinds: u8) -> bool {
+        self.full & p.eff != 0
+            || self.shown & shown != 0
+            || (self.email && p.email)
+            || (self.cs && (ap_kinds | p.eff).count_ones() >= 3)
+            || self.links.contains(&j)
     }
 }
 
@@ -99,96 +169,79 @@ impl Tdg {
     /// Builds the TDG over an already compiled substrate, taking its
     /// population, platform and attacker profile.
     pub(crate) fn from_prepared(prepared: Arc<Prepared>) -> Self {
-        let (platform, ap) = (prepared.platform(), prepared.attacker_profile());
-        let specs = prepared.specs();
+        let (platform, ap, ap_kinds) =
+            (prepared.platform(), prepared.attacker_profile(), prepared.ap_kinds);
+        let (specs, providers, nodes) = (prepared.specs(), &prepared.providers, &prepared.nodes);
         let n = specs.len();
-        let empty_pool = InfoPool::new();
 
         // Fringe nodes: compromisable with the attacker profile alone.
-        let fringe: Vec<bool> = specs
-            .iter()
-            .map(|s| attack_paths(s, platform).iter().any(|p| path_satisfied(p, &ap, &empty_pool)))
-            .collect();
-        let fringe_login: Vec<bool> = specs
-            .iter()
-            .map(|s| {
-                attack_paths_in(s, platform, EdgeClass::LoginOnly)
-                    .iter()
-                    .any(|p| path_satisfied(p, &ap, &empty_pool))
-            })
-            .collect();
-
-        // Single-provider pools, reused across all targets.
-        let single_pools: Vec<InfoPool> = specs
-            .iter()
-            .map(|s| {
-                let mut pool = InfoPool::new();
-                pool.absorb_compromise(s, platform);
-                pool
-            })
-            .collect();
+        let fringe = nodes.iter().map(|nd| nd.open[class_index(EdgeClass::All)]).collect();
+        let fringe_login =
+            nodes.iter().map(|nd| nd.open[class_index(EdgeClass::LoginOnly)]).collect();
+        let shown: Vec<u8> = specs.iter().map(|s| shown_kinds(s, platform)).collect();
 
         let mut strong: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut strong_login: Vec<Vec<bool>> = vec![Vec::new(); n];
         let mut couples: Vec<CoupleEntry> = Vec::new();
+        let mut candidates: Vec<u32> = Vec::new();
 
         for target in 0..n {
-            let paths: Vec<_> = attack_paths(&specs[target], platform)
-                .into_iter()
-                .filter(|p| !path_satisfied(p, &ap, &empty_pool))
-                .cloned()
+            // Outstanding paths: live ones the profile alone does not
+            // fire (dead paths fire for no group, so they add no edge).
+            let paths: Vec<&CPath> = nodes[target]
+                .live
+                .iter()
+                .filter(|cp| !cp.fires(EdgeClass::All, u16::MAX, ap_kinds, 0, false, |_| false))
                 .collect();
             if paths.is_empty() {
                 continue;
             }
-            // Does a pool satisfy at least one *login-class* outstanding
-            // path? Edges failing this carry only recovery-class paths.
-            let login_sat = |pool: &InfoPool| {
-                paths
-                    .iter()
-                    .any(|p| !p.purpose.is_recovery() && path_satisfied(p, &ap, pool))
+            // Whether `st`, owning exactly the nodes in `group`, fires
+            // an outstanding path under `class`.
+            let fires = |class, st: &RunState, group: &[u32]| {
+                paths.iter().any(|cp| {
+                    cp.fires(class, u16::MAX, ap_kinds, st.eff, st.email, |l| group.contains(&l))
+                })
             };
+            let needs = Needs::of(&specs[target], &prepared);
 
-            // Full-capacity parents, each tagged with its login bit.
-            let mut parents: BTreeMap<usize, bool> = BTreeMap::new();
-            for (provider, pool) in single_pools.iter().enumerate() {
-                if provider == target {
+            // Full-capacity parents (each tagged with its login bit) and
+            // couple candidates: providers that move at least one needed
+            // factor without satisfying a path alone. A parent satisfies
+            // every factor of some outstanding path, so it always passes
+            // the needs test.
+            candidates.clear();
+            for j in (0..n as u32).filter(|&j| j as usize != target) {
+                let p = &providers[j as usize];
+                if !needs.attracts(j, p, shown[j as usize], ap_kinds) {
                     continue;
                 }
-                if paths.iter().any(|p| path_satisfied(p, &ap, pool)) {
-                    parents.insert(provider, login_sat(pool));
+                let mut st = RunState::default();
+                st.absorb(p);
+                if fires(EdgeClass::All, &st, &[j]) {
+                    strong[target].push(j as usize);
+                    strong_login[target].push(fires(EdgeClass::LoginOnly, &st, &[j]));
+                } else {
+                    candidates.push(j);
                 }
             }
 
-            // Couple candidates: nodes that are not full parents but whose
-            // exposure moves at least one unsatisfied factor — either by
-            // satisfying it outright or by contributing partial (masked)
-            // coverage of the needed information kind.
-            let candidates: Vec<usize> = (0..n)
-                .filter(|&j| j != target && !parents.contains_key(&j))
-                .filter(|&j| {
-                    paths.iter().any(|p| {
-                        p.factors.iter().any(|f| {
-                            if crate::pool::factor_satisfied(f, &ap, &empty_pool) {
-                                return false;
-                            }
-                            if crate::pool::factor_satisfied(f, &ap, &single_pools[j]) {
-                                return true;
-                            }
-                            contributes_partially(f, &specs[j], platform)
-                        })
-                    })
+            let couple = |group: &[u32], st: &RunState| {
+                fires(EdgeClass::All, st, group).then(|| CoupleEntry {
+                    providers: group.iter().map(|&g| g as usize).collect(),
+                    target,
+                    login: fires(EdgeClass::LoginOnly, st, group),
                 })
-                .collect();
-
+            };
             let mut target_couples = 0usize;
-            'pairs: for (a_idx, &a) in candidates.iter().enumerate() {
-                for &b in &candidates[a_idx + 1..] {
-                    let mut pool = single_pools[a].clone();
-                    pool.absorb_compromise(&specs[b], platform);
-                    if paths.iter().any(|p| path_satisfied(p, &ap, &pool)) {
-                        let login = login_sat(&pool);
-                        couples.push(CoupleEntry { providers: vec![a, b], target, login });
+            'pairs: for (ai, &a) in candidates.iter().enumerate() {
+                let mut sa = RunState::default();
+                sa.absorb(&providers[a as usize]);
+                for &b in &candidates[ai + 1..] {
+                    let mut st = sa;
+                    st.absorb(&providers[b as usize]);
+                    if let Some(entry) = couple(&[a, b], &st) {
+                        couples.push(entry);
                         target_couples += 1;
                         if target_couples >= MAX_COUPLES_PER_TARGET {
                             break 'pairs;
@@ -199,15 +252,17 @@ impl Tdg {
             // Triples only when pairs found nothing and the candidate set
             // is small (keeps the search tractable on 200+ services).
             if target_couples == 0 && candidates.len() <= 40 && MAX_COUPLE_SIZE >= 3 {
-                'triples: for (a_idx, &a) in candidates.iter().enumerate() {
-                    for (b_off, &b) in candidates[a_idx + 1..].iter().enumerate() {
-                        for &c in &candidates[a_idx + 1 + b_off + 1..] {
-                            let mut pool = single_pools[a].clone();
-                            pool.absorb_compromise(&specs[b], platform);
-                            pool.absorb_compromise(&specs[c], platform);
-                            if paths.iter().any(|p| path_satisfied(p, &ap, &pool)) {
-                                let login = login_sat(&pool);
-                                couples.push(CoupleEntry { providers: vec![a, b, c], target, login });
+                'triples: for (ai, &a) in candidates.iter().enumerate() {
+                    let mut sa = RunState::default();
+                    sa.absorb(&providers[a as usize]);
+                    for (bi, &b) in candidates.iter().enumerate().skip(ai + 1) {
+                        let mut sab = sa;
+                        sab.absorb(&providers[b as usize]);
+                        for &c in &candidates[bi + 1..] {
+                            let mut st = sab;
+                            st.absorb(&providers[c as usize]);
+                            if let Some(entry) = couple(&[a, b, c], &st) {
+                                couples.push(entry);
                                 target_couples += 1;
                                 if target_couples >= MAX_COUPLES_PER_TARGET {
                                     break 'triples;
@@ -217,9 +272,6 @@ impl Tdg {
                     }
                 }
             }
-
-            strong[target] = parents.keys().copied().collect();
-            strong_login[target] = parents.values().copied().collect();
         }
 
         Self {
@@ -535,5 +587,79 @@ mod tests {
         assert!(!g
             .strong_parents_in(paypal, EdgeClass::LoginOnly)
             .any(|p| p == gmail));
+    }
+
+    /// A web-only account with one sign-in path and the given exposures.
+    fn account(
+        id: &str,
+        factors: &[CredentialFactor],
+        exposed: &[actfort_ecosystem::info::ExposedField],
+    ) -> ServiceSpec {
+        use actfort_ecosystem::policy::Purpose;
+        use actfort_ecosystem::spec::ServiceDomain;
+        let b = ServiceSpec::builder(id, id, ServiceDomain::Other).path(Purpose::SignIn, Platform::Web, factors);
+        exposed.iter().fold(b, |b, &field| b.expose_web(field)).build()
+    }
+
+    #[test]
+    fn three_partial_providers_form_one_triple_couple() {
+        // The union of prefix/suffix masks of one kind is always reached
+        // by the pair holding the longest prefix and the longest suffix,
+        // so a triple needs two kinds: the head provider shows the heads
+        // of both numbers, and each tail provider completes only one.
+        use actfort_ecosystem::info::ExposedField;
+        use CredentialFactor as F;
+        use PersonalInfoKind::{BankcardNumber as Card, CitizenId as Id};
+        let specs = vec![
+            account("vault", &[F::SmsCode, F::CitizenId, F::BankcardNumber], &[]),
+            account("heads", &[F::SmsCode], &[ExposedField::partial(Id, 10, 0), ExposedField::partial(Card, 8, 0)]),
+            account("id-tail", &[F::SmsCode], &[ExposedField::partial(Id, 0, 8)]),
+            account("card-tail", &[F::SmsCode], &[ExposedField::partial(Card, 0, 8)]),
+        ];
+        let g = Tdg::build(&specs, Platform::Web, AttackerProfile::paper_default());
+        assert!(g.strong_parents(0).is_empty(), "no provider covers both numbers alone");
+        assert_eq!(g.couples(), [CoupleEntry { providers: vec![1, 2, 3], target: 0, login: true }]);
+    }
+
+    #[test]
+    fn security_answers_do_not_attract_a_customer_service_couple() {
+        // The candidate pre-filter counts shown RealName, CitizenId,
+        // Address, BankcardNumber and CellphoneNumber toward a
+        // `CustomerService` dossier, but not SecurityAnswers: the pair
+        // below reaches three facts with the profile's phone number, yet
+        // the answers provider is never a candidate, so no couple forms.
+        use actfort_ecosystem::info::ExposedField;
+        use CredentialFactor as F;
+        let specs = vec![
+            account("support-desk", &[F::CustomerService], &[]),
+            account("answers", &[F::SmsCode], &[ExposedField::clear(PersonalInfoKind::SecurityAnswers)]),
+            account("names", &[F::SmsCode], &[ExposedField::clear(PersonalInfoKind::RealName)]),
+        ];
+        let g = Tdg::build(&specs, Platform::Web, AttackerProfile::paper_default());
+        assert!(g.strong_parents(0).is_empty());
+        assert!(g.couples_for(0).is_empty());
+    }
+
+    #[test]
+    fn couple_cut_keeps_the_first_pairs_in_candidate_order() {
+        // 24 providers alternate between the head and the tail of the
+        // citizen ID: 144 complementary pairs, of which the first 64 in
+        // candidate order are kept and the triple search is skipped.
+        use actfort_ecosystem::info::ExposedField;
+        use CredentialFactor as F;
+        let half = |j: usize| {
+            let (prefix, suffix) = if j % 2 == 1 { (10, 0) } else { (0, 8) };
+            ExposedField::partial(PersonalInfoKind::CitizenId, prefix, suffix)
+        };
+        let mut specs = vec![account("vault", &[F::SmsCode, F::CitizenId], &[])];
+        specs.extend((1..=24).map(|j| account(&format!("half-{j}"), &[F::SmsCode], &[half(j)])));
+        let g = Tdg::build(&specs, Platform::Web, AttackerProfile::paper_default());
+        let complementary = (1..=24usize)
+            .flat_map(|a| (a + 1..=24).map(move |b| vec![a, b]))
+            .filter(|pair| pair[0] % 2 != pair[1] % 2);
+        assert_eq!(complementary.clone().count(), 144);
+        let kept: Vec<Vec<usize>> = g.couples_for(0).iter().map(|c| c.providers.clone()).collect();
+        assert_eq!(kept, complementary.take(MAX_COUPLES_PER_TARGET).collect::<Vec<_>>());
+        assert!(g.strong_parents(0).is_empty());
     }
 }
