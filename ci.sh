@@ -42,7 +42,7 @@ echo "==> score throughput gate: 64-lane sweep >= 1M user-scores/min single-core
 cargo run --release -q -p actfort-bench --bin score_sweep -- --users 65536 \
     --min-scores-per-min 1000000 --out "$trace_tmp/bench_score.json"
 
-echo "==> whatif gate: every-subset patched sweep ≡ cold recompiles, 0 recompiles, warm < 50 ms"
+echo "==> whatif gate: every subset's cached substrate ≡ cold recompile, cold sweep compiles 31 and warm sweep 0, warm < 50 ms"
 cargo run --release -q -p actfort-bench --bin whatif_sweep -- --max-sweep-ms 50 \
     --out "$trace_tmp/bench_whatif.json"
 

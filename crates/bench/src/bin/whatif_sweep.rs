@@ -1,11 +1,10 @@
 //! Countermeasure what-if sweep benchmark: evaluates every
 //! countermeasure subset (`2^|all()|`) over the 201-service paper
-//! population two
-//! ways — the delta-patch path (`Patcher::patch` +
-//! `forward_patched`, one substrate compiled once) versus the cold
-//! baseline (`Prepared::new(apply_all(...))` + `forward` per subset) —
-//! proves the results identical and the patch path recompile-free, then
-//! records a `"whatif"` section in `BENCH_forward.json`.
+//! population through one `Patcher`, proves each hardened substrate's
+//! result identical to a cold `Prepared::new(apply_all(...))` compile,
+//! checks that a cold sweep compiles each non-empty subset once and a
+//! warm sweep compiles nothing, times both sweeps, then records a
+//! `"whatif"` section in `BENCH_forward.json`.
 //!
 //! ```sh
 //! cargo run --release -p actfort-bench --bin whatif_sweep
@@ -16,18 +15,19 @@
 use actfort_bench::{splice_section, EXPERIMENT_SEED};
 use actfort_core::counter::{apply_all, Countermeasure, Patcher};
 use actfort_core::profile::AttackerProfile;
-use actfort_core::{obs, ForwardResult, Prepared};
+use actfort_core::{obs, ForwardResult, ForwardScratch, Prepared};
 use actfort_ecosystem::policy::{EdgeClass, Platform};
-use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::paper_population;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A cold recompile of `specs` plus one forward run: the baseline the
-/// patched sweep is checked and timed against.
-fn forward_cold(specs: &[ServiceSpec], ap: AttackerProfile) -> ForwardResult {
-    let p = Prepared::new(specs, Platform::Web, ap);
-    p.forward(&mut p.scratch(), EdgeClass::All, &[], true)
+/// One forward run on every subset's hardened substrate, in mask order,
+/// all through one scratch.
+fn sweep(patcher: &Patcher, sets: &[Vec<Countermeasure>]) -> Vec<ForwardResult> {
+    let mut scratch = ForwardScratch::new();
+    sets.iter()
+        .map(|set| patcher.patch(set).forward(&mut scratch, EdgeClass::All, &[], true))
+        .collect()
 }
 
 fn main() {
@@ -58,88 +58,55 @@ fn main() {
         base.node_count(),
         build_ns / 1_000
     );
-    let plan_started = Instant::now();
-    let patcher = Patcher::new(Arc::clone(&base));
-    let plan_ns = plan_started.elapsed().as_nanos();
     let sets = Countermeasure::subsets();
 
-    // Correctness + observability pass (obs on): every subset's patched
-    // result must equal the cold spec-rewrite recompile byte for byte,
-    // and the patch path must never compile a fresh substrate.
+    // Correctness + observability pass (obs on): a fresh patcher's cold
+    // sweep compiles every non-empty subset once (the empty set is the
+    // base), a warm sweep compiles nothing, and every subset's result
+    // equals the cold spec-rewrite recompile byte for byte.
     obs::reset();
     obs::set_enabled(true);
-    let count = |name: &str| obs::snapshot().counters.get(name).copied().unwrap_or(0);
-    let prepares_before = count("engine.prepares");
-    let patched: Vec<_> = sets
-        .iter()
-        .map(|set| {
-            base.forward_patched(
-                &mut base.scratch(),
-                &patcher.patch(set),
-                EdgeClass::All,
-                &[],
-                true,
-            )
-        })
-        .collect();
-    let prepares_during_sweep = count("engine.prepares") - prepares_before;
-    let patches = count("engine.patches");
+    let prepares = || obs::snapshot().counters.get("engine.prepares").copied().unwrap_or(0);
+    let patcher = Patcher::new(Arc::clone(&base));
+    let before = prepares();
+    let cold = sweep(&patcher, &sets);
+    let compiles_cold = prepares() - before;
+    let warm = sweep(&patcher, &sets);
+    let compiles_warm = prepares() - before - compiles_cold;
     obs::set_enabled(false);
     assert_eq!(
-        prepares_during_sweep, 0,
-        "the patched sweep must not recompile the substrate (engine.prepares moved)"
+        compiles_cold,
+        sets.len() as u64 - 1,
+        "a cold sweep must compile each non-empty subset exactly once"
     );
-    for (set, fast) in sets.iter().zip(&patched) {
-        let cold = forward_cold(&apply_all(&specs, set), ap);
-        assert_eq!(*fast, cold, "patched result diverged from cold recompile for {set:?}");
+    assert_eq!(compiles_warm, 0, "a warm sweep must compile nothing");
+    assert_eq!(cold, warm, "a cached substrate diverged from its first run");
+    for (set, got) in sets.iter().zip(&cold) {
+        let reference = Prepared::new(&apply_all(&specs, set), Platform::Web, ap);
+        let want = reference.forward(&mut reference.scratch(), EdgeClass::All, &[], true);
+        assert_eq!(*got, want, "hardened substrate diverged from cold recompile for {set:?}");
     }
     println!(
         "whatif_sweep: {0}/{0} subsets byte-identical to cold recompiles \
-         ({patches} patches compiled, 0 substrate recompiles)",
+         (cold sweep compiled {compiles_cold}, warm sweep {compiles_warm})",
         sets.len()
     );
 
-    // Timing: cold baseline (one recompile + forward per subset) vs the patch
-    // path, cold (patch compiles included — a fresh Patcher) and warm
-    // (every patch cached — the serve steady state).
-    let cold_started = Instant::now();
-    for set in &sets {
-        let result = forward_cold(&apply_all(&specs, set), ap);
-        std::hint::black_box(&result);
-    }
-    let cold_ns = cold_started.elapsed().as_nanos().max(1);
-
+    // Timing: a fresh patcher's cold sweep (compiles included) and the
+    // same patcher's warm sweep (every substrate cached — the serve
+    // steady state).
     let fresh = Patcher::new(Arc::clone(&base));
-    let patched_cold_started = Instant::now();
-    for set in &sets {
-        let result =
-            base.forward_patched(&mut base.scratch(), &fresh.patch(set), EdgeClass::All, &[], true);
-        std::hint::black_box(&result);
-    }
-    let patched_cold_ns = patched_cold_started.elapsed().as_nanos().max(1);
-
-    let mut scratch = base.scratch();
+    let cold_started = Instant::now();
+    std::hint::black_box(sweep(&fresh, &sets));
+    let cold_ns = cold_started.elapsed().as_nanos().max(1);
     let warm_started = Instant::now();
-    for set in &sets {
-        let result =
-            base.forward_patched(&mut scratch, &fresh.patch(set), EdgeClass::All, &[], true);
-        std::hint::black_box(&result);
-    }
+    std::hint::black_box(sweep(&fresh, &sets));
     let warm_ns = warm_started.elapsed().as_nanos().max(1);
-
-    let speedup_cold = cold_ns as f64 / patched_cold_ns as f64;
-    let speedup_warm = cold_ns as f64 / warm_ns as f64;
     println!(
-        "whatif_sweep: {}-subset sweep — cold recompiles {:.1} ms, patched cold {:.2} ms \
-         ({speedup_cold:.1}x), patched warm {:.2} ms ({speedup_warm:.1}x)",
+        "whatif_sweep: {}-subset sweep — cold {:.2} ms (compiles included), warm {:.2} ms",
         sets.len(),
         cold_ns as f64 / 1e6,
-        patched_cold_ns as f64 / 1e6,
         warm_ns as f64 / 1e6,
-    );
-    assert!(
-        patched_cold_ns < cold_ns,
-        "patch path ({patched_cold_ns} ns) must beat per-subset cold recompiles ({cold_ns} ns)"
     );
 
     if let Some(budget) = max_sweep_ms {
@@ -154,10 +121,8 @@ fn main() {
 
     let section = format!(
         "{{\"services\": {}, \"nodes\": {}, \"subsets\": {}, \"build_ns\": {build_ns}, \
-         \"plan_ns\": {plan_ns}, \"patches\": {patches}, \"prepares_during_sweep\": 0, \
-         \"cold_sweep_ns\": {cold_ns}, \"patched_cold_sweep_ns\": {patched_cold_ns}, \
-         \"patched_warm_sweep_ns\": {warm_ns}, \"speedup_cold\": {speedup_cold:.2}, \
-         \"speedup_warm\": {speedup_warm:.2}}}",
+         \"compiles_cold\": {compiles_cold}, \"compiles_warm\": {compiles_warm}, \
+         \"cold_sweep_ns\": {cold_ns}, \"warm_sweep_ns\": {warm_ns}}}",
         specs.len(),
         base.node_count(),
         sets.len(),

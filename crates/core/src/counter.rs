@@ -3,26 +3,26 @@
 //!
 //! Each countermeasure rewrites the service population; re-running the
 //! dependency-depth analysis before and after quantifies how much of the
-//! attack graph it removes.
+//! attack graph it removes. [`Patcher`] caches the hardened substrate of
+//! each countermeasure set, compiled cold from the rewritten specs, for
+//! the `/whatif` queries against one base substrate.
 
 use crate::metrics::{depth_breakdown, DepthBreakdown};
-use crate::obs;
-use crate::prepared::{Prepared, SubstratePatch};
+use crate::prepared::Prepared;
 use crate::profile::AttackerProfile;
 use actfort_ecosystem::factor::CredentialFactor;
 use actfort_ecosystem::info::{Masking, PersonalInfoKind};
 use actfort_ecosystem::policy::Platform;
 use actfort_ecosystem::spec::{ServiceDomain, ServiceSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// The paper's proposed countermeasures.
 ///
 /// The derived `Ord` is the canonical application order: countermeasure
-/// *sets* are order-insensitive because [`apply_all`] (and the patch
-/// layer) sort into this order before applying.
+/// *sets* are order-insensitive because [`apply_all`] (and so
+/// [`Patcher::patch`]) sorts into this order before applying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Countermeasure {
     /// "Cover unified digits on SSN and bankcard numbers": every service
@@ -94,7 +94,7 @@ impl Countermeasure {
 
 /// The canonical form of a countermeasure *set*: sorted into
 /// [`Countermeasure`]'s `Ord` order, duplicates removed. Everything that
-/// consumes a set — [`apply_all`], the compiled patch layer, the serve
+/// consumes a set — [`apply_all`], the [`Patcher`] cache, the serve
 /// cache keys — canonicalizes through here, so results and cache hits
 /// are functions of the set alone, never of spelling order.
 pub fn canonical_set(cms: &[Countermeasure]) -> Vec<Countermeasure> {
@@ -119,7 +119,7 @@ impl fmt::Display for Countermeasure {
 
 /// Applies one countermeasure, returning the transformed population.
 pub fn apply(specs: &[ServiceSpec], cm: Countermeasure) -> Vec<ServiceSpec> {
-    specs.iter().map(|s| apply_one(s, cm)).collect()
+    apply_all(specs, &[cm])
 }
 
 /// Applies a countermeasure set. The set is canonicalized (sorted,
@@ -127,16 +127,22 @@ pub fn apply(specs: &[ServiceSpec], cm: Countermeasure) -> Vec<ServiceSpec> {
 /// countermeasures are in the set, not the order the caller listed them
 /// in — `[FixAsymmetry, UnifiedMasking]` and its reverse produce the
 /// same population (pinned by the permutation proptest).
+///
+/// Each spec is cloned once and hardened in place by every
+/// countermeasure in turn: a countermeasure reads only the spec it
+/// rewrites, so folding spec by spec equals applying set by set.
 pub fn apply_all(specs: &[ServiceSpec], cms: &[Countermeasure]) -> Vec<ServiceSpec> {
+    let set = canonical_set(cms);
     let mut out = specs.to_vec();
-    for cm in canonical_set(cms) {
-        out = apply(&out, cm);
+    for s in &mut out {
+        for &cm in &set {
+            apply_one(s, cm);
+        }
     }
     out
 }
 
-fn apply_one(spec: &ServiceSpec, cm: Countermeasure) -> ServiceSpec {
-    let mut s = spec.clone();
+fn apply_one(s: &mut ServiceSpec, cm: Countermeasure) {
     match cm {
         Countermeasure::UnifiedMasking => {
             let unify = |fields: &mut Vec<actfort_ecosystem::info::ExposedField>| {
@@ -257,105 +263,60 @@ fn apply_one(spec: &ServiceSpec, cm: Countermeasure) -> ServiceSpec {
             }
         }
     }
-    s
 }
 
-/// Compiles countermeasure sets into [`SubstratePatch`]es against one
-/// shared base [`Prepared`], caching both the per-countermeasure blast
-/// radius and every compiled subset.
+/// The hardened substrates of every countermeasure set over one shared
+/// base [`Prepared`], compiled on first use and cached for the life of
+/// the base.
 ///
-/// Construction walks the population once per countermeasure to learn
-/// which nodes each one actually rewrites (`apply_one(s, cm) != s`).
-/// After that, [`Patcher::patch`] costs only the union blast radius of
-/// the requested set: the touched specs are rewritten and recompiled
-/// against the base's interned id space (`Prepared::compile_patch`),
-/// everything else stays shared. The subset space is `2^|all()|`
-/// (thirty-two with five countermeasures), so compiled patches are
-/// memoized for the life of the base — a `/whatif` sweep re-running a subset is a pure cache
-/// hit, and *no* full substrate recompile ever happens
-/// (`engine.prepares` stays flat; pinned by the whatif bench).
-///
-/// The union blast radius is exact, not a superset: `apply_one` is a
-/// per-spec transformation, so a node no single countermeasure in the
-/// set touches is a fixed point of every fold step and compiles to its
-/// base form.
+/// [`Patcher::patch`] folds the set over the base's specs
+/// ([`apply_all`]) and compiles the result cold, once per canonical
+/// subset (`2^|all()|` of them, thirty-two with five countermeasures).
+/// The empty set is the base itself, so a full `/whatif` sweep compiles
+/// `2^|all()| - 1` substrates the first time and none after that.
+/// Construction plans nothing: a snapshot reload pays only for the slot
+/// table.
 pub struct Patcher {
     base: Arc<Prepared>,
-    /// Node ids each countermeasure rewrites, aligned with
-    /// [`Countermeasure::all`] order.
-    touched: Vec<Vec<u32>>,
-    /// Compiled patches by canonical subset mask (bit *i* = `all()[i]`).
-    cache: Mutex<Vec<Option<Arc<SubstratePatch>>>>,
+    /// Hardened substrates by canonical subset mask (bit *i* =
+    /// `all()[i]`); slot 0, the empty set, is the base.
+    cache: Mutex<Vec<Option<Arc<Prepared>>>>,
 }
 
 impl Patcher {
-    /// Plans patches against `base`: one `apply_one` sweep per
-    /// countermeasure to find its blast radius, no compilation yet.
+    /// A patcher over `base`, with nothing compiled yet.
     pub fn new(base: Arc<Prepared>) -> Self {
-        let _span = obs::span("patch.plan");
-        let touched: Vec<Vec<u32>> = Countermeasure::all()
-            .iter()
-            .map(|&cm| {
-                base.specs()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| apply_one(s, cm) != **s)
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
-            .collect();
-        let cache = Mutex::new(vec![None; 1 << Countermeasure::all().len()]);
-        Self { base, touched, cache }
+        let mut cache = vec![None; 1 << Countermeasure::all().len()];
+        cache[0] = Some(Arc::clone(&base));
+        Self { base, cache: Mutex::new(cache) }
     }
 
-    /// The shared base substrate patches are compiled against.
+    /// The shared base substrate the countermeasures harden.
     pub fn base(&self) -> &Arc<Prepared> {
         &self.base
     }
 
-    /// The node ids `cm` rewrites on this base (its blast radius),
-    /// ascending.
-    pub fn touched_by(&self, cm: Countermeasure) -> &[u32] {
-        &self.touched[Self::index(cm)]
-    }
-
-    fn index(cm: Countermeasure) -> usize {
-        Countermeasure::all().iter().position(|&c| c == cm).expect("all() lists every variant")
-    }
-
-    /// The compiled patch for a countermeasure set (canonicalized, so
-    /// order and duplicates don't matter). First request per subset
-    /// compiles; repeats are cache hits. The empty set yields an empty
-    /// patch whose run reproduces the base exactly.
-    pub fn patch(&self, cms: &[Countermeasure]) -> Arc<SubstratePatch> {
-        let set = canonical_set(cms);
-        let mask = set.iter().fold(0usize, |m, &cm| m | (1 << Self::index(cm)));
-        if let Some(hit) = self.cache.lock().expect("patch cache poisoned")[mask].clone() {
-            obs::add("engine.patch_cache_hits", 1);
-            return hit;
+    /// The hardened substrate for a countermeasure set (canonicalized,
+    /// so order and duplicates don't matter). The first request per
+    /// subset compiles it; repeats return the cached one. Two threads
+    /// racing on the same subset both compile, and both get the one
+    /// cached first.
+    pub fn patch(&self, cms: &[Countermeasure]) -> Arc<Prepared> {
+        let mask = (0..)
+            .zip(Countermeasure::all())
+            .filter(|(_, cm)| cms.contains(cm))
+            .fold(0usize, |m, (i, _)| m | 1 << i);
+        if let Some(hit) = &self.cache.lock().expect("patch cache poisoned")[mask] {
+            return Arc::clone(hit);
         }
-        let mut ids: BTreeSet<u32> = BTreeSet::new();
-        for &cm in &set {
-            ids.extend(&self.touched[Self::index(cm)]);
-        }
-        let rewrites: Vec<(u32, ServiceSpec)> = ids
-            .into_iter()
-            .map(|i| {
-                let mut s = self.base.specs()[i as usize].clone();
-                for &cm in &set {
-                    s = apply_one(&s, cm);
-                }
-                (i, s)
-            })
-            .collect();
-        let patch = Arc::new(self.base.compile_patch(rewrites));
-        let mut slot = self.cache.lock().expect("patch cache poisoned");
-        // A racing compile of the same subset keeps the first one in.
-        if let Some(existing) = &slot[mask] {
-            return Arc::clone(existing);
-        }
-        slot[mask] = Some(Arc::clone(&patch));
-        patch
+        let base = &self.base;
+        let hardened = Arc::new(Prepared::compile(
+            apply_all(base.specs(), cms),
+            base.platform(),
+            base.attacker_profile(),
+        ));
+        let mut cache = self.cache.lock().expect("patch cache poisoned");
+        Arc::clone(cache[mask].get_or_insert(hardened))
     }
 }
 

@@ -75,7 +75,7 @@ pub use actfort_ecosystem::policy::EdgeClass;
 pub use analysis::{AttackChain, ForwardResult};
 pub use backward::BackwardEngine;
 pub use error::Error;
-pub use prepared::{ForwardScratch, Prepared, SubstratePatch};
+pub use prepared::{ForwardScratch, Prepared};
 pub use query::{Analysis, Engine, WhatifReport};
 pub use score::{OverlayFactor, OverlayScratch, UserOverlay, UserProfile, UserScore};
 pub use counter::{Countermeasure, Patcher};

@@ -166,9 +166,10 @@ pub fn depth_breakdown(
 
 /// Classifies an already-computed forward result into the paper's depth
 /// categories over a population of `total` eligible services. This is
-/// the shared classifier behind [`depth_breakdown`] and the whatif
-/// patch path: both run it over their respective [`ForwardResult`]s, so
-/// identical results produce bit-identical breakdowns.
+/// the shared classifier behind [`depth_breakdown`] and
+/// `Analysis::whatif`: both run it over their respective
+/// [`ForwardResult`]s, so identical results produce bit-identical
+/// breakdowns.
 pub fn breakdown_of(result: &ForwardResult, total: usize) -> DepthBreakdown {
     let mut direct = 0;
     let mut one_layer = 0;

@@ -36,6 +36,10 @@
 //! - **Scratch reuse.** All mutable run state lives in
 //!   [`ForwardScratch`]; [`Prepared::forward`] clears and reuses
 //!   it, so a sweep of N seed sets allocates once, not N times.
+//! - **One compiler.** [`Prepared::new`] platform-filters the specs and
+//!   hands them to one crate-private constructor. A countermeasure
+//!   set's hardened substrate ([`crate::counter::Patcher`]) comes from
+//!   the same constructor, compiled cold from the rewritten specs.
 //!
 //! Results are byte-identical to the naive reference
 //! ([`crate::query::Engine::Naive`]) — pinned by the unit tests below
@@ -55,10 +59,6 @@ use actfort_ecosystem::info::PersonalInfoKind;
 use actfort_ecosystem::policy::{AuthPath, EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-unique substrate identity source (see [`Prepared::stamp`]).
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// Tracked-kind bit positions — the six identity facts the
 /// customer-service fact count consults, in order: RealName, CitizenId,
@@ -153,10 +153,7 @@ pub(crate) struct CPath {
     /// the profile would otherwise intercept for free.
     pub(crate) fmask: u16,
     /// Index of `fmask` in [`Prepared::fmasks`]: lane batches compute
-    /// one activation word per *distinct* mask, not per path. Only base
-    /// nodes carry one; patch-compiled paths keep `u32::MAX`, since
-    /// patched runs test `fmask` directly and the lane engine reads
-    /// base nodes only.
+    /// one activation word per *distinct* mask, not per path.
     pub(crate) fmask_id: u32,
     /// Edge-class tag: whether the source path's purpose is a recovery
     /// flow ([`actfort_ecosystem::policy::Purpose::is_recovery`]).
@@ -244,56 +241,6 @@ pub(crate) struct Node {
     /// `min_providers` answers regardless of which class produced
     /// them, so all three classes share one interning map.
     pathset: [Option<u32>; 3],
-}
-
-/// A compiled overlay patch against one specific [`Prepared`]: the
-/// recompiled state of the nodes a countermeasure set *touches* (its
-/// blast radius), with everything untouched read from the base at run
-/// time. This is the countermeasure analogue of the per-user
-/// [`UserOverlay`]: the base substrate stays
-/// shared and immutable; the delta rides on top.
-///
-/// Built by [`crate::counter::Patcher`], which computes the blast
-/// radius, and run with [`Prepared::forward_patched`]. Compilation
-/// cost is proportional to the touched-node count, not the population:
-/// the same node compiler as [`Prepared::new`] interns class and
-/// pathset ids over the base's retained maps, so a patched provider
-/// whose pool signature the base already interned collapses into the
-/// same class as its untouched twins, and genuinely new signatures mint
-/// fresh ids appended past the base tables.
-pub struct SubstratePatch {
-    /// [`Prepared::stamp`] of the base this patch was compiled against.
-    base_stamp: u64,
-    /// Touched node ids, ascending.
-    touched: Vec<u32>,
-    /// Dense node-id → patch-slot lookup; `u32::MAX` means untouched
-    /// (read the base).
-    slot_of: Vec<u32>,
-    /// Recompiled per-touched-node state, slot order.
-    providers: Vec<Provider>,
-    nodes: Vec<Node>,
-    specs: Vec<ServiceSpec>,
-    /// Class / pathset id-space sizes including patch-minted ids
-    /// (scratch sizing; base ids stay valid, patch ids append).
-    classes: usize,
-    pathsets: usize,
-    /// Reverse-index subscriptions of the touched nodes' recompiled
-    /// paths, read on top of the base's. The base keeps its (possibly
-    /// stale) entries for those nodes; over-subscription only ever costs
-    /// a redundant re-evaluation, never a missed one.
-    subs: Subscriptions,
-}
-
-impl SubstratePatch {
-    /// Node ids this patch recompiles (the blast radius), ascending.
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// [`Prepared::stamp`] of the base substrate this patch targets.
-    pub fn base_stamp(&self) -> u64 {
-        self.base_stamp
-    }
 }
 
 /// Counter handles for one prepared forward run (the `engine.*`
@@ -394,17 +341,11 @@ pub struct Prepared {
     /// — the lane engine precomputes one per-batch activation word per
     /// entry (`crate::score`).
     pub(crate) fmasks: Vec<u16>,
-    /// The interned informative pool-signature classes and pathsets
-    /// (the `min_providers` memo keys), retained after compilation so a
-    /// [`SubstratePatch`] interns its recompiled nodes over the *same*
-    /// id space (see [`Interner`]).
-    class_of: BTreeMap<PoolSignature, u32>,
-    pathset_of: BTreeMap<Vec<(u8, bool, bool)>, u32>,
-    /// Process-unique identity: patches record the stamp of the base
-    /// they were compiled against, and [`Prepared::forward_patched`]
-    /// refuses a patch stamped for a different substrate.
-    stamp: u64,
-    /// Reverse index over the base nodes' live paths.
+    /// Sizes of the interned informative pool-signature class and
+    /// pathset (`min_providers` memo key) id spaces, for scratch sizing.
+    classes: usize,
+    pathsets: usize,
+    /// Reverse index over the nodes' live paths.
     subs: Subscriptions,
 }
 
@@ -413,8 +354,8 @@ impl std::fmt::Debug for Prepared {
         f.debug_struct("Prepared")
             .field("platform", &self.platform)
             .field("nodes", &self.nodes.len())
-            .field("classes", &self.class_of.len())
-            .field("pathsets", &self.pathset_of.len())
+            .field("classes", &self.classes)
+            .field("pathsets", &self.pathsets)
             .finish_non_exhaustive()
     }
 }
@@ -422,9 +363,7 @@ impl std::fmt::Debug for Prepared {
 impl Prepared {
     /// Compiles `specs` (platform-filtered) against `ap`.
     pub fn new(specs: &[ServiceSpec], platform: Platform, ap: AttackerProfile) -> Self {
-        let _span = obs::span("prepare");
-        obs::add("engine.prepares", 1);
-        let specs: Vec<ServiceSpec> = specs
+        let eligible = specs
             .iter()
             .filter(|s| match platform {
                 Platform::Web => s.has_web,
@@ -432,26 +371,26 @@ impl Prepared {
             })
             .cloned()
             .collect();
+        Self::compile(eligible, platform, ap)
+    }
+
+    /// Compiles `specs`, which must already be `platform`-eligible, taking
+    /// them by value: [`crate::counter::Patcher`] hands over the hardened
+    /// copies of a base substrate's own specs without another clone.
+    pub(crate) fn compile(specs: Vec<ServiceSpec>, platform: Platform, ap: AttackerProfile) -> Self {
+        let _span = obs::span("prepare");
+        obs::add("engine.prepares", 1);
         let ids: BTreeMap<ServiceId, u32> =
             specs.iter().enumerate().map(|(i, s)| (s.id.clone(), i as u32)).collect();
         debug_assert_eq!(ids.len(), specs.len(), "service ids must be unique within a population");
 
         // Providers, then nodes: a single pass interleaving the two
         // measured about 7% slower on paper:2021 (mobile).
-        let mut c = NodeCompiler::new(platform, ap, &ids, None);
+        let mut c = NodeCompiler::new(platform, ap, &ids);
         let providers: Vec<Provider> = specs.iter().map(|s| c.provider(s)).collect();
-        let mut nodes: Vec<Node> = (0..).zip(&specs).map(|(i, s)| c.node(i, s)).collect();
+        let nodes: Vec<Node> = (0..).zip(&specs).map(|(i, s)| c.node(i, s)).collect();
         c.subs.finish();
-        let NodeCompiler { ap_kinds, classes, pathsets, subs, .. } = c;
-        let (class_of, pathset_of) = (classes.minted, pathsets.minted);
-
-        // Overlay-factor masks are interned for the lane engine, which
-        // reads base nodes only (so patches never mint them).
-        let mut fmask_of: BTreeMap<u16, u32> = BTreeMap::new();
-        for cp in nodes.iter_mut().flat_map(|nd| &mut nd.live) {
-            let next = fmask_of.len() as u32;
-            cp.fmask_id = *fmask_of.entry(cp.fmask).or_insert(next);
-        }
+        let NodeCompiler { ap_kinds, classes, pathsets, fmask_of, subs, .. } = c;
         let mut fmasks = vec![0u16; fmask_of.len()];
         for (mask, id) in fmask_of {
             fmasks[id as usize] = mask;
@@ -466,17 +405,10 @@ impl Prepared {
             providers,
             nodes,
             fmasks,
-            class_of,
-            pathset_of,
-            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
+            classes: classes.len(),
+            pathsets: pathsets.len(),
             subs,
         }
-    }
-
-    /// Process-unique identity of this compilation (monotonic, never
-    /// reused within a process). [`SubstratePatch`]es are pinned to it.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
     }
 
     /// The platform this substrate was compiled for.
@@ -503,7 +435,7 @@ impl Prepared {
     /// just avoids the first-run growth).
     pub fn scratch(&self) -> ForwardScratch {
         let mut s = ForwardScratch::new();
-        self.reset_scratch(&mut s, None);
+        self.reset_scratch(&mut s);
         s
     }
 
@@ -519,120 +451,22 @@ impl Prepared {
         seeds: &[ServiceId],
         memo_enabled: bool,
     ) -> ForwardResult {
-        self.forward_inner(scratch, seeds, memo_enabled, None, None, class)
+        self.forward_inner(scratch, seeds, memo_enabled, None, class)
     }
 
-    fn reset_scratch(&self, s: &mut ForwardScratch, patch: Option<&SubstratePatch>) {
-        let (classes, pathsets) = match patch {
-            Some(p) => (p.classes, p.pathsets),
-            None => (self.class_of.len(), self.pathset_of.len()),
-        };
+    fn reset_scratch(&self, s: &mut ForwardScratch) {
         let words = self.nodes.len().div_ceil(64);
         s.compromised.clear();
         s.compromised.resize(words, 0);
         s.frontier.clear();
         s.frontier.resize(words, 0);
         s.class_seen.clear();
-        s.class_seen.resize(classes.div_ceil(64), 0);
+        s.class_seen.resize(self.classes.div_ceil(64), 0);
         s.reps.clear();
         s.memo.clear();
-        s.memo.resize(pathsets, (GEN_NONE, 0));
+        s.memo.resize(self.pathsets, (GEN_NONE, 0));
         s.newly.clear();
         s.candidates.clear();
-    }
-
-    /// Compiles a [`SubstratePatch`] from `rewrites`: `(node id,
-    /// replacement spec)` pairs covering exactly the nodes a
-    /// countermeasure set touches, in ascending id order. Each rewrite
-    /// goes through the node compiler behind [`Prepared::new`], interning
-    /// over the base's retained maps, so the patched run is
-    /// byte-identical to a cold compile of the rewritten population while
-    /// costing only the blast radius.
-    ///
-    /// Replacement specs must keep their service id and platform flags
-    /// (countermeasures transform policies, never the population
-    /// membership); node ids and the link topology therefore stay valid.
-    pub(crate) fn compile_patch(&self, rewrites: Vec<(u32, ServiceSpec)>) -> SubstratePatch {
-        let _span = obs::span("patch.compile");
-        obs::add("engine.patches", 1);
-        obs::add("engine.patch_nodes", rewrites.len() as u64);
-        let mut slot_of = vec![u32::MAX; self.nodes.len()];
-        for (slot, (i, s)) in rewrites.iter().enumerate() {
-            debug_assert!(slot == 0 || rewrites[slot - 1].0 < *i, "rewrites must ascend");
-            debug_assert_eq!(
-                s.id, self.specs[*i as usize].id,
-                "a rewrite must replace the node's own spec"
-            );
-            slot_of[*i as usize] = slot as u32;
-        }
-        let mut c = NodeCompiler::new(self.platform, self.ap, &self.ids, Some(self));
-        let providers = rewrites.iter().map(|(_, s)| c.provider(s)).collect();
-        let nodes = rewrites.iter().map(|(i, s)| c.node(*i, s)).collect();
-        c.subs.finish();
-        let (touched, specs) = rewrites.into_iter().unzip();
-        SubstratePatch {
-            base_stamp: self.stamp,
-            touched,
-            slot_of,
-            providers,
-            nodes,
-            specs,
-            classes: c.classes.len(),
-            pathsets: c.pathsets.len(),
-            subs: c.subs,
-        }
-    }
-
-    /// The forward fixed point with `patch` overlaid on this substrate:
-    /// touched nodes read their recompiled state, everything else reads
-    /// the base. Byte-identical to compiling the patched population from
-    /// scratch and running [`Self::forward`] — pinned by the whatif
-    /// equivalence suite — at a cost proportional to the blast radius.
-    /// `class` filters paths as in [`Self::forward`].
-    ///
-    /// # Panics
-    ///
-    /// If `patch` was compiled against a different substrate.
-    pub fn forward_patched(
-        &self,
-        scratch: &mut ForwardScratch,
-        patch: &SubstratePatch,
-        class: EdgeClass,
-        seeds: &[ServiceId],
-        memo_enabled: bool,
-    ) -> ForwardResult {
-        assert_eq!(
-            patch.base_stamp, self.stamp,
-            "substrate patch applied to a substrate it was not compiled against"
-        );
-        self.forward_inner(scratch, seeds, memo_enabled, None, Some(patch), class)
-    }
-
-    /// The node to read for id `i` under an optional patch.
-    #[inline]
-    fn node_at<'s>(&'s self, patch: Option<&'s SubstratePatch>, i: u32) -> &'s Node {
-        match patch_slot(patch, i) {
-            Some((p, slot)) => &p.nodes[slot],
-            None => &self.nodes[i as usize],
-        }
-    }
-
-    /// The provider to read for id `i` under an optional patch.
-    #[inline]
-    fn provider_at<'s>(&'s self, patch: Option<&'s SubstratePatch>, i: u32) -> &'s Provider {
-        match patch_slot(patch, i) {
-            Some((p, slot)) => &p.providers[slot],
-            None => &self.providers[i as usize],
-        }
-    }
-
-    /// The spec to materialize for id `i` under an optional patch.
-    #[inline]
-    fn spec_at<'s>(&'s self, patch: Option<&'s SubstratePatch>, i: u32) -> &'s ServiceSpec {
-        match patch_slot(patch, i) {
-            Some((p, slot)) => &p.specs[slot],
-            None => &self.specs[i as usize],
-        }
     }
 
     /// The forward fixed point restricted to one user's
@@ -655,7 +489,7 @@ impl Prepared {
         overlay: &UserOverlay,
         class: EdgeClass,
     ) -> ForwardResult {
-        self.forward_inner(scratch, &[], false, Some(overlay), None, class)
+        self.forward_inner(scratch, &[], false, Some(overlay), class)
     }
 
     fn forward_inner(
@@ -664,18 +498,16 @@ impl Prepared {
         seeds: &[ServiceId],
         memo_enabled: bool,
         overlay: Option<&UserOverlay>,
-        patch: Option<&SubstratePatch>,
         class: EdgeClass,
     ) -> ForwardResult {
-        let _span =
-            if patch.is_some() { obs::span("forward.patched") } else { obs::span("forward.prepared") };
+        let _span = obs::span("forward.prepared");
         // All-ones when no overlay: `fmask & factors == fmask` is then
         // vacuous and the plain forward path is bit-identical to before.
         let factors = overlay.map_or(u16::MAX, |ov| ov.factors);
         let memo_enabled = memo_enabled && overlay.is_none();
         let stats = Stats::fetch();
         obs::add("engine.runs", 1);
-        self.reset_scratch(scratch, patch);
+        self.reset_scratch(scratch);
         let n = self.nodes.len();
         let mut st = RunState::default();
         let mut records: BTreeMap<ServiceId, CompromiseRecord> = BTreeMap::new();
@@ -688,7 +520,7 @@ impl Prepared {
             if seeds.contains(&s.id) {
                 set_bit(&mut scratch.compromised, i as u32);
                 compromised_count += 1;
-                let provider = self.provider_at(patch, i as u32);
+                let provider = &self.providers[i];
                 st.absorb(provider);
                 register(provider, i as u32, &mut scratch.class_seen, &mut scratch.reps, &stats);
                 records.insert(s.id.clone(), CompromiseRecord { round: 0, min_providers: 0 });
@@ -724,7 +556,7 @@ impl Prepared {
                     while m != 0 {
                         let i = (w as u32) << 6 | m.trailing_zeros();
                         m &= m - 1;
-                        let sat = self.node_at(patch, i).live.iter().any(|cp| {
+                        let sat = self.nodes[i as usize].live.iter().any(|cp| {
                             cp.fires(class, factors, self.ap_kinds, st.eff, st.email, |l| {
                                 bit(&scratch.compromised, l)
                             })
@@ -753,7 +585,6 @@ impl Prepared {
                         memo_enabled,
                         factors,
                         class,
-                        patch,
                         &scratch.compromised,
                         &scratch.reps,
                         &mut scratch.memo,
@@ -772,7 +603,7 @@ impl Prepared {
                 for k in 0..scratch.newly.len() {
                     let i = scratch.newly[k];
                     set_bit(&mut scratch.compromised, i);
-                    let provider = self.provider_at(patch, i);
+                    let provider = &self.providers[i as usize];
                     st.absorb(provider);
                     register(provider, i, &mut scratch.class_seen, &mut scratch.reps, &stats);
                 }
@@ -781,15 +612,9 @@ impl Prepared {
             rounds.push(ids);
 
             // Next frontier: subscribers of every flag that flipped.
-            // Under a patch both subscription sets are read: the base's
-            // (stale entries for touched nodes are harmless — they only
-            // re-evaluate) and the patch's, for paths the rewrite
-            // introduced.
             scratch.frontier.fill(0);
             let (gained, mail_fell) = (st.eff & !before_eff, st.email && !before_email);
-            for subs in std::iter::once(&self.subs).chain(patch.map(|p| &p.subs)) {
-                subs.wake(gained, mail_fell, &scratch.newly, &mut scratch.frontier);
-            }
+            self.subs.wake(gained, mail_fell, &scratch.newly, &mut scratch.frontier);
             frontier_len = 0;
             for w in 0..scratch.frontier.len() {
                 scratch.frontier[w] &= !scratch.compromised[w];
@@ -811,9 +636,9 @@ impl Prepared {
         // commutative and idempotent, so absorbing the compromised set
         // in node order reproduces the round-order pool exactly.
         let mut final_pool = InfoPool::new();
-        for i in 0..self.specs.len() {
+        for (i, spec) in self.specs.iter().enumerate() {
             if bit(&scratch.compromised, i as u32) {
-                final_pool.absorb_compromise(self.spec_at(patch, i as u32), self.platform);
+                final_pool.absorb_compromise(spec, self.platform);
             }
         }
         ForwardResult { rounds, records, uncompromised, final_pool }
@@ -831,14 +656,13 @@ impl Prepared {
         memo_enabled: bool,
         factors: u16,
         class: EdgeClass,
-        patch: Option<&SubstratePatch>,
         compromised: &[u64],
         reps: &[u32],
         memo: &mut [(u32, u8)],
         candidates: &mut Vec<u32>,
         stats: &Stats,
     ) -> usize {
-        let nd = self.node_at(patch, node);
+        let nd = &self.nodes[node as usize];
         let gen = reps.len() as u32;
         // `forward_inner` already forces `memo_enabled` off for overlay
         // runs, keeping the pathset key sound (it cannot distinguish
@@ -853,21 +677,18 @@ impl Prepared {
             }
             stats.minprov_memo_misses.inc();
         }
-        let answer =
-            self.min_providers_uncached(nd, factors, class, patch, compromised, reps, candidates);
+        let answer = self.min_providers_uncached(nd, factors, class, compromised, reps, candidates);
         if let Some(ps) = slot {
             memo[ps as usize] = (gen, answer as u8);
         }
         answer
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn min_providers_uncached(
         &self,
         nd: &Node,
         factors: u16,
         class: EdgeClass,
-        patch: Option<&SubstratePatch>,
         compromised: &[u64],
         reps: &[u32],
         candidates: &mut Vec<u32>,
@@ -889,7 +710,7 @@ impl Prepared {
             }
         }
         for &j in candidates.iter() {
-            let p = self.provider_at(patch, j);
+            let p = &self.providers[j as usize];
             let sat = nd.live.iter().any(|cp| {
                 cp.fires(class, factors, ap_kinds, p.eff, p.email, |l| l == j)
             });
@@ -898,9 +719,9 @@ impl Prepared {
             }
         }
         for (ai, &a) in candidates.iter().enumerate() {
-            let pa = self.provider_at(patch, a);
+            let pa = &self.providers[a as usize];
             for &b in &candidates[ai + 1..] {
-                let pb = self.provider_at(patch, b);
+                let pb = &self.providers[b as usize];
                 let cov =
                     [pa.cov[0] | pb.cov[0], pa.cov[1] | pb.cov[1], pa.cov[2] | pb.cov[2]];
                 let eff = (pa.raw | pb.raw) | cov_complete_bits(cov);
@@ -933,40 +754,11 @@ fn register(p: &Provider, i: u32, class_seen: &mut [u64], reps: &mut Vec<u32>, s
     }
 }
 
-/// The patch slot holding node `i`'s recompiled state, or `None` when
-/// there is no patch or it leaves `i` untouched (read the base).
-#[inline]
-fn patch_slot(patch: Option<&SubstratePatch>, i: u32) -> Option<(&SubstratePatch, usize)> {
-    let p = patch?;
-    let slot = p.slot_of[i as usize];
-    (slot != u32::MAX).then_some((p, slot as usize))
-}
-
-/// Layered interning: a key the base map already holds keeps its base
-/// id, and a new key mints the next id past the base count. A cold
-/// compile interns over no base.
-struct Interner<'b, K> {
-    base: Option<&'b BTreeMap<K, u32>>,
-    minted: BTreeMap<K, u32>,
-}
-
-impl<'b, K: Ord> Interner<'b, K> {
-    fn over(base: Option<&'b BTreeMap<K, u32>>) -> Self {
-        Self { base, minted: BTreeMap::new() }
-    }
-
-    fn id(&mut self, key: K) -> u32 {
-        if let Some(&id) = self.base.and_then(|b| b.get(&key)) {
-            return id;
-        }
-        let next = self.len() as u32;
-        *self.minted.entry(key).or_insert(next)
-    }
-
-    /// Size of the id space: base ids plus minted ones.
-    fn len(&self) -> usize {
-        self.base.map_or(0, BTreeMap::len) + self.minted.len()
-    }
+/// Interns `key` into `ids`: the next dense id for a new key, the
+/// existing id for a seen one.
+fn intern<K: Ord>(ids: &mut BTreeMap<K, u32>, key: K) -> u32 {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next)
 }
 
 /// Reverse index over the *unresolved* atoms of live paths: the nodes
@@ -1034,29 +826,24 @@ impl Subscriptions {
     }
 }
 
-/// The one per-node compiler, behind both [`Prepared::new`] (interning
-/// over no base) and [`Prepared::compile_patch`] (interning over the
-/// base's retained maps): it flattens a node's singleton pool to a
-/// [`Provider`], folds its attack paths against the static profile,
-/// interns its class and per-class pathsets, and subscribes it to the
-/// atoms its live paths still read.
+/// The per-node compiler behind [`Prepared::compile`]: it flattens a
+/// node's singleton pool to a [`Provider`], folds its attack paths
+/// against the static profile, interns its class, per-class pathsets
+/// and overlay-factor masks, and subscribes it to the atoms its live
+/// paths still read.
 struct NodeCompiler<'b> {
     platform: Platform,
     ap: AttackerProfile,
     ap_kinds: u8,
     ids: &'b BTreeMap<ServiceId, u32>,
-    classes: Interner<'b, PoolSignature>,
-    pathsets: Interner<'b, Vec<(u8, bool, bool)>>,
+    classes: BTreeMap<PoolSignature, u32>,
+    pathsets: BTreeMap<Vec<(u8, bool, bool)>, u32>,
+    fmask_of: BTreeMap<u16, u32>,
     subs: Subscriptions,
 }
 
 impl<'b> NodeCompiler<'b> {
-    fn new(
-        platform: Platform,
-        ap: AttackerProfile,
-        ids: &'b BTreeMap<ServiceId, u32>,
-        base: Option<&'b Prepared>,
-    ) -> Self {
+    fn new(platform: Platform, ap: AttackerProfile, ids: &'b BTreeMap<ServiceId, u32>) -> Self {
         let mut ap_kinds = 0u8;
         if ap.social_engineering_db {
             ap_kinds |= BIT_REAL_NAME | BIT_ADDRESS;
@@ -1069,8 +856,9 @@ impl<'b> NodeCompiler<'b> {
             ap,
             ap_kinds,
             ids,
-            classes: Interner::over(base.map(|b| &b.class_of)),
-            pathsets: Interner::over(base.map(|b| &b.pathset_of)),
+            classes: BTreeMap::new(),
+            pathsets: BTreeMap::new(),
+            fmask_of: BTreeMap::new(),
             subs: Subscriptions::new(ids.len()),
         }
     }
@@ -1082,7 +870,7 @@ impl<'b> NodeCompiler<'b> {
         let (full_mask, cov, email) = pool.signature();
         let raw = tracked_bits(full_mask);
         let class = if pool.is_informative() {
-            self.classes.id((full_mask, cov, email))
+            intern(&mut self.classes, (full_mask, cov, email))
         } else {
             CLASS_NONE
         };
@@ -1101,8 +889,11 @@ impl<'b> NodeCompiler<'b> {
             })
             .collect();
         let cs_static = self.ap_kinds.count_ones() >= 3;
-        let live: Vec<CPath> =
+        let mut live: Vec<CPath> =
             paths.iter().filter_map(|p| compile_path(p, &self.ap, cs_static, self.ids)).collect();
+        for cp in &mut live {
+            cp.fmask_id = intern(&mut self.fmask_of, cp.fmask);
+        }
 
         // Per edge class: the open flag (a path fires on the profile
         // alone) and the memo pathset key, which stays `None` when a
@@ -1124,7 +915,7 @@ impl<'b> NodeCompiler<'b> {
                     .map(|cp| (cp.req, cp.needs_email, cp.needs_cs))
                     .collect();
                 key.sort_unstable();
-                pathset[ci] = Some(self.pathsets.id(key));
+                pathset[ci] = Some(intern(&mut self.pathsets, key));
             }
         }
         self.subs.add(i, &live);
@@ -1148,7 +939,8 @@ fn compile_path(
         needs_cs: false,
         links: Vec::new(),
         fmask: 0,
-        fmask_id: u32::MAX,
+        // Interned by `NodeCompiler::node` once the mask is complete.
+        fmask_id: 0,
         recovery: path.purpose.is_recovery(),
     };
     for f in &path.factors {
@@ -1315,30 +1107,6 @@ mod tests {
         obs::set_enabled(false);
         assert!(hits.get() > h0, "archetype cohorts should share memo entries");
         assert!(misses.get() > m0, "first member of each cohort misses");
-    }
-
-    #[test]
-    fn identity_patch_reuses_every_base_id() {
-        // Rewriting every node to its own spec must intern every class
-        // and pathset key to its base id: a minted duplicate would leave
-        // answers intact but split classes the base collapses.
-        let populations = [curated_services(), actfort_ecosystem::synth::paper_population(2021)];
-        for specs in &populations {
-            for platform in [Platform::Web, Platform::MobileApp] {
-                let base = Prepared::new(specs, platform, AttackerProfile::paper_default());
-                let rewrites: Vec<(u32, ServiceSpec)> =
-                    (0..).zip(base.specs().iter().cloned()).collect();
-                let patch = base.compile_patch(rewrites);
-                assert_eq!(patch.classes, base.class_of.len(), "{platform}: class ids minted");
-                assert_eq!(patch.pathsets, base.pathset_of.len(), "{platform}: pathset ids minted");
-                for class in EdgeClass::all() {
-                    let patched =
-                        base.forward_patched(&mut base.scratch(), &patch, class, &[], true);
-                    let plain = base.forward(&mut base.scratch(), class, &[], true);
-                    assert_eq!(patched, plain, "{platform} {class:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -215,10 +215,10 @@ impl<'a> Analysis<'a> {
     }
 
     /// A countermeasure what-if query: the base population versus the
-    /// same population with `cms` applied, answered through the compiled
-    /// patch overlay ([`crate::counter::Patcher`]) instead of a full
-    /// recompile. Returns before/after depth breakdowns, the services
-    /// the set protects, and the backward chains it severs.
+    /// same population with `cms` applied, answered on the set's
+    /// hardened substrate ([`crate::counter::Patcher`]). Returns
+    /// before/after depth breakdowns, the services the set protects,
+    /// and the backward chains it severs.
     pub fn whatif(self, cms: &'a [Countermeasure]) -> WhatifQuery<'a> {
         WhatifQuery {
             source: self.source,
@@ -545,16 +545,16 @@ fn recovery_difference(
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct WhatifReport {
     /// The evaluated set in canonical (sorted, deduplicated) order —
-    /// the same set the patch cache keys on, whatever order the caller
-    /// passed.
+    /// the same set the [`Patcher`] cache keys on, whatever order the
+    /// caller passed.
     pub countermeasures: Vec<Countermeasure>,
     /// Human-readable name of the set (`"baseline"` when empty,
     /// otherwise the countermeasures joined with `" + "`).
     pub label: String,
     /// Depth breakdown of the unmodified population.
     pub before: DepthBreakdown,
-    /// Depth breakdown with the countermeasures applied (computed on
-    /// the patched substrate, not a recompile).
+    /// Depth breakdown with the countermeasures applied, computed on
+    /// the set's hardened substrate ([`Patcher::patch`]).
     pub after: DepthBreakdown,
     /// Services compromised before but not after, in id order.
     pub protected: Vec<ServiceId>,
@@ -567,11 +567,10 @@ pub struct WhatifReport {
 
 /// A configured what-if query. Build with [`Analysis::whatif`].
 ///
-/// The before side runs the plain prepared forward fixed point; the
-/// after side runs the same fixed point over a
-/// [`crate::SubstratePatch`] compiled by a [`Patcher`] — only the
-/// countermeasures' blast radius is recompiled, everything untouched
-/// (interning, memo keys, subscriptions) is reused from the base.
+/// The before side runs the prepared forward fixed point on the base
+/// substrate; the after side runs it on the set's hardened substrate,
+/// which a [`Patcher`] compiles cold from the rewritten specs, once per
+/// set.
 pub struct WhatifQuery<'a> {
     source: Source<'a>,
     cms: &'a [Countermeasure],
@@ -583,10 +582,10 @@ pub struct WhatifQuery<'a> {
 
 impl<'a> WhatifQuery<'a> {
     /// Serves the query through a prebuilt [`Patcher`] instead of
-    /// constructing one, amortizing blast-radius planning and the
-    /// compiled-patch cache across queries (the sweep setting). The
-    /// patcher's base substrate answers the query; for a graph source
-    /// it must be the graph's own substrate (checked by stamp).
+    /// constructing one, so its hardened substrates are compiled once
+    /// across queries (the sweep setting). The patcher's base substrate
+    /// answers the query; for a graph source it must be the graph's own
+    /// substrate (the same `Arc`).
     pub fn patcher(mut self, patcher: &'a Patcher) -> Self {
         self.patcher = Some(patcher);
         self
@@ -634,7 +633,7 @@ impl<'a> WhatifQuery<'a> {
         let patcher = match self.patcher {
             Some(p) => {
                 if let Source::Graph(tdg) = &self.source {
-                    if p.base().stamp() != tdg.prepared().stamp() {
+                    if !Arc::ptr_eq(p.base(), tdg.prepared()) {
                         return Err(Error::Query(
                             "patcher was compiled against a different substrate".into(),
                         ));
@@ -652,8 +651,7 @@ impl<'a> WhatifQuery<'a> {
         let total = base.node_count();
         let mut scratch = base.scratch();
         let before_result = base.forward(&mut scratch, self.class, &[], true);
-        let patch = patcher.patch(&set);
-        let after_result = base.forward_patched(&mut scratch, &patch, self.class, &[], true);
+        let after_result = patcher.patch(&set).forward(&mut scratch, self.class, &[], true);
         let before = breakdown_of(&before_result, total);
         let after = breakdown_of(&after_result, total);
         // BTreeMap keys iterate in id order, so `protected` is sorted.
@@ -991,7 +989,7 @@ mod tests {
             .whatif(&[])
             .patcher(&patcher)
             .run()
-            .expect_err("stamp mismatch");
+            .expect_err("substrate mismatch");
         assert_eq!(err.code(), crate::error::CODE_QUERY);
     }
 

@@ -351,6 +351,7 @@ fn raw_source_whatif_compiles_one_substrate() {
     let snap = obs::snapshot();
     obs::reset();
     assert!(!report.severed.is_empty(), "the what-if collected severed chains");
-    // The patcher and the severed-chain graph share one compilation.
-    assert_eq!(snap.counters.get("engine.prepares").copied().unwrap_or(0), 1);
+    // Two compilations: the base, which the severed-chain graph reuses,
+    // and the hardened substrate of the set.
+    assert_eq!(snap.counters.get("engine.prepares").copied().unwrap_or(0), 2);
 }

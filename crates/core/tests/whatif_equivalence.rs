@@ -1,25 +1,27 @@
-//! Equivalence suite for the countermeasure patch layer: the delta
-//! patch must be a pure optimization, never a semantic fork.
+//! Equivalence suite for the countermeasure [`Patcher`]: its cached
+//! hardened substrates must be exactly what a cold compile of the
+//! rewritten population gives.
 //!
 //! Two pins, across curated + synthetic populations, both platforms and
 //! **every countermeasure subset** (`2^|all()|` of them):
 //!
-//! 1. `forward_patched` over a compiled [`SubstratePatch`] returns the
-//!    exact [`ForwardResult`] of a cold `Prepared::new(apply_all(...))`
-//!    compile of the rewritten population — rounds, records and
-//!    survivors byte-identical — under every edge class, memo on and
-//!    off.
+//! 1. `patcher.patch(set).forward(..)` returns the exact
+//!    `ForwardResult` of a cold `Prepared::new(apply_all(...))` compile
+//!    of the rewritten population — rounds, records and survivors
+//!    byte-identical — under every edge class, memo on and off.
 //! 2. The `Analysis::whatif` facade's before/after breakdowns equal the
 //!    `counter::evaluate` spec-rewrite reference bit for bit (`f64`
 //!    equality, not tolerance — both classify through the shared
 //!    `metrics::breakdown_of`).
 //!
-//! A third pin covers amortization semantics: one `Patcher` answers
-//! every subset with at most one patch compilation each (the subset
-//! cache) and zero substrate recompiles.
+//! A third pin covers amortization: one `Patcher` compiles each
+//! non-empty subset exactly once (the empty set is the base), so a
+//! second sweep compiles nothing. A fourth races two threads on one
+//! `Patcher`, subset by subset, and checks that both get the substrate
+//! the cache kept.
 //!
-//! That pin flips the process-global obs recorder while the other tests
-//! run instrumented code, so every test in this binary serializes
+//! The third pin flips the process-global obs recorder while the other
+//! tests run instrumented code, so every test in this binary serializes
 //! through [`obs_lock`].
 
 use actfort_core::counter::{self, apply_all, Countermeasure, Patcher};
@@ -29,7 +31,7 @@ use actfort_core::{obs, Prepared, Tdg};
 use actfort_ecosystem::policy::{EdgeClass, Platform};
 use actfort_ecosystem::spec::ServiceSpec;
 use actfort_ecosystem::synth::{generate, SynthConfig};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -46,19 +48,6 @@ fn populations() -> Vec<(&'static str, Vec<ServiceSpec>)> {
     ]
 }
 
-fn subsets() -> Vec<Vec<Countermeasure>> {
-    let all = Countermeasure::all();
-    (0u32..(1 << all.len()))
-        .map(|mask| {
-            all.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, cm)| *cm)
-                .collect()
-        })
-        .collect()
-}
-
 #[test]
 fn patched_forward_equals_cold_recompile_for_every_subset() {
     let _g = obs_lock();
@@ -66,22 +55,19 @@ fn patched_forward_equals_cold_recompile_for_every_subset() {
     for (name, specs) in populations() {
         for platform in [Platform::Web, Platform::MobileApp] {
             let patcher = Patcher::new(Arc::new(Prepared::new(&specs, platform, ap)));
-            let base = patcher.base();
-            for subset in subsets() {
-                let patch = patcher.patch(&subset);
+            for subset in Countermeasure::subsets() {
+                let hardened = patcher.patch(&subset);
                 let cold = Prepared::new(&apply_all(&specs, &subset), platform, ap);
-                // Every edge class reads its own pathset slot, and a
-                // patch can mint ids for those slots; the memo-off run
-                // checks the answers without the slots.
+                // Every edge class reads its own pathset slot; the
+                // memo-off run checks the answers without the slots.
                 for class in EdgeClass::all() {
                     for memo in [true, false] {
-                        let patched =
-                            base.forward_patched(&mut base.scratch(), &patch, class, &[], memo);
+                        let patched = hardened.forward(&mut hardened.scratch(), class, &[], memo);
                         let recompiled = cold.forward(&mut cold.scratch(), class, &[], memo);
                         assert_eq!(
                             patched, recompiled,
                             "{name} {platform} {subset:?} {class:?} memo={memo}: \
-                             patched substrate diverged from recompile"
+                             hardened substrate diverged from recompile"
                         );
                     }
                 }
@@ -98,7 +84,7 @@ fn whatif_breakdowns_equal_the_spec_rewrite_reference_for_every_subset() {
         for platform in [Platform::Web, Platform::MobileApp] {
             let tdg = Tdg::build(&specs, platform, ap);
             let patcher = Patcher::new(Arc::clone(tdg.prepared()));
-            for subset in subsets() {
+            for subset in Countermeasure::subsets() {
                 let report = Analysis::of(&tdg)
                     .whatif(&subset)
                     .patcher(&patcher)
@@ -132,35 +118,59 @@ fn one_patcher_serves_the_sweep_without_substrate_recompiles() {
     let count = |snap: &obs::ObsSnapshot, name: &str| {
         snap.counters.get(name).copied().unwrap_or(0)
     };
-    let prepares_before = count(&obs::snapshot(), "engine.prepares");
-    for subset in subsets() {
-        let report = Analysis::of(&tdg)
-            .whatif(&subset)
-            .patcher(&patcher)
-            .chains_per_target(0)
-            .run()
-            .expect("valid query");
-        assert_eq!(report.countermeasures, counter::canonical_set(&subset));
-    }
-    // Run the sweep again: every patch is now cached.
-    for subset in subsets() {
-        Analysis::of(&tdg).whatif(&subset).patcher(&patcher).chains_per_target(0).run().unwrap();
-    }
-    let after = obs::snapshot();
-    assert_eq!(
-        count(&after, "engine.prepares"),
-        prepares_before,
-        "the sweep must never compile a fresh substrate"
-    );
-    let subset_count = subsets().len() as u64;
-    let patches = count(&after, "engine.patches");
-    assert!(
-        (1u64..=subset_count).contains(&patches),
-        "expected at most one patch compile per subset, saw {patches}"
-    );
-    assert!(
-        count(&after, "engine.patch_cache_hits") >= subset_count,
-        "the second sweep must be served from the patch cache"
-    );
+    let subsets = Countermeasure::subsets();
+    let sweep = || {
+        let prepares_before = count(&obs::snapshot(), "engine.prepares");
+        for subset in &subsets {
+            let report = Analysis::of(&tdg)
+                .whatif(subset)
+                .patcher(&patcher)
+                .chains_per_target(0)
+                .run()
+                .expect("valid query");
+            assert_eq!(report.countermeasures, counter::canonical_set(subset));
+        }
+        count(&obs::snapshot(), "engine.prepares") - prepares_before
+    };
+    // The first sweep compiles every non-empty subset once; the empty
+    // set is the base itself.
+    assert_eq!(sweep(), subsets.len() as u64 - 1, "one compile per non-empty subset");
+    // The second is served entirely from the cache.
+    assert_eq!(sweep(), 0, "a repeated sweep must compile nothing");
     obs::set_enabled(false);
+}
+
+#[test]
+fn racing_sweeps_share_one_substrate_per_subset() {
+    let _g = obs_lock();
+    let ap = AttackerProfile::paper_default();
+    let specs = generate(60, 2021, &SynthConfig::default());
+    let patcher = Patcher::new(Arc::new(Prepared::new(&specs, Platform::Web, ap)));
+    let subsets = Countermeasure::subsets();
+    // Both threads meet at a barrier before every subset, so each
+    // request races the other thread's request for the same subset.
+    let barrier = Barrier::new(2);
+    let sweep = || {
+        subsets
+            .iter()
+            .map(|set| {
+                barrier.wait();
+                patcher.patch(set)
+            })
+            .collect::<Vec<_>>()
+    };
+    let (first, second) = std::thread::scope(|scope| {
+        let (a, b) = (scope.spawn(sweep), scope.spawn(sweep));
+        (a.join().expect("first sweep"), b.join().expect("second sweep"))
+    });
+    for ((set, a), b) in subsets.iter().zip(&first).zip(&second) {
+        assert!(Arc::ptr_eq(a, b), "{set:?}: the two sweeps got different substrates");
+        assert!(Arc::ptr_eq(a, &patcher.patch(set)), "{set:?}: the cache kept another substrate");
+        let cold = Prepared::new(&apply_all(&specs, set), Platform::Web, ap);
+        assert_eq!(
+            a.forward(&mut a.scratch(), EdgeClass::All, &[], true),
+            cold.forward(&mut cold.scratch(), EdgeClass::All, &[], true),
+            "{set:?}: cached substrate diverged from a cold compile"
+        );
+    }
 }

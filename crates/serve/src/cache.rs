@@ -87,10 +87,10 @@ impl CacheKey {
     /// Key for a whatif query: the canonical (sorted, deduplicated)
     /// countermeasure set — every spelling order of the same set maps
     /// to one entry, mirroring the evaluation itself, which
-    /// canonicalizes before patching — plus the sweep flag and the
+    /// canonicalizes before hardening — plus the sweep flag and the
     /// severed-chain cap (both change the rendered body). Whatif takes
     /// no engine selector (it always runs the production engine on the
-    /// patched substrate), so its key's engine is always `"auto"`.
+    /// hardened substrate), so its key's engine is always `"auto"`.
     pub fn whatif(
         generation: u64,
         class: EdgeClass,

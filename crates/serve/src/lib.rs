@@ -50,8 +50,9 @@
 //! | `POST /score`          | per-user overlay scoring, batched (cached; |
 //! |   (alias `/v1/score`)  | 64-lane bit-parallel sweep)                |
 //! | `POST /whatif`         | countermeasure what-if: one set, or the    |
-//! |   (alias `/v1/whatif`) | full 2⁵-subset sweep, on the delta-patched |
-//! |                        | substrate — no recompiles (cached)         |
+//! |   (alias `/v1/whatif`) | full 2⁵-subset sweep, each set's hardened  |
+//! |                        | substrate compiled once per snapshot       |
+//! |                        | (cached)                                   |
 //! | `POST /admin/reload`   | hot-swap the dataset snapshot              |
 //! | `POST /admin/shutdown` | graceful drain                             |
 

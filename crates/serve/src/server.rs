@@ -537,9 +537,9 @@ fn whatif(shared: &Arc<Shared>, request: &Request, start: Instant, slot: Respons
         request.severed_chains,
     );
     answer(shared, route, start, slot, key, move || {
-        // Both modes route through the snapshot's shared patcher
-        // (compiled-patch cache) and the graph's prewarmed backward
-        // engine: nothing here ever recompiles the prepared substrate.
+        // Both modes route through the snapshot's shared patcher, which
+        // compiles each set's hardened substrate once per generation,
+        // and the graph's prewarmed backward engine.
         let evaluate = |set: &[Countermeasure]| {
             Analysis::of(&snapshot.tdg)
                 .whatif(set)

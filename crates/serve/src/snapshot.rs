@@ -85,9 +85,9 @@ pub struct Snapshot {
     /// fills it itself.
     pub backward: BackwardEngine,
     /// A countermeasure patcher over the graph's prepared substrate:
-    /// `/whatif` queries route through it so blast-radius planning and
-    /// the compiled-patch cache (every subset) amortize across
-    /// requests — no request ever recompiles the substrate.
+    /// `/whatif` queries route through it, so each countermeasure set's
+    /// hardened substrate is compiled by the first request that needs
+    /// it and reused by every later one in this generation.
     pub patcher: Patcher,
 }
 
